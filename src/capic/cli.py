@@ -18,34 +18,22 @@ from . import factor_plane as fp
 from .datasets import apply_standardization
 from .errors import CaError
 from .experiment import (
-    OUTPUT_DIR_ENV,
     build_dataset,
     category_g_points,
     evaluate_model,
     load_config,
     resolve_config,
+    resolve_output_dir,
     run_eval,
     run_experiment,
 )
-from .fileio import write_text_atomic
+from .fileio import csv_text, write_text_atomic
 from .model import load_model
-from .oracles import (
-    BscSpec,
-    GaussianPairSpec,
-    bsc_sample,
-    bsc_spectrum_uniform,
-    gaussian_pair_sample,
-    multimodal_gaussian_sample,
-)
+from .oracles import bsc_spectrum_uniform
 
 
-def _out_dir(args, default="."):
-    if args.out is not None:
-        return Path(args.out)
-    import os
-
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    return Path(env) if env else Path(default)
+def _out_dir(args):
+    return Path(resolve_output_dir(args.out) or ".")
 
 
 def _cmd_train(args):
@@ -95,50 +83,26 @@ def _cmd_plane(args):
     return 0
 
 
-def _write_dataset_csv(path, ds):
-    import csv as _csv
-    import io as _io
-
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    nx, ny = ds.x.shape[0], ds.y.shape[0]
-    writer.writerow([f"x{k}" for k in range(nx)] + [f"y{k}" for k in range(ny)])
-    for col in range(ds.n):
-        writer.writerow(
-            [repr(float(v)) for v in ds.x[:, col]] + [repr(float(v)) for v in ds.y[:, col]]
-        )
-    write_text_atomic(path, buf.getvalue())
-
-
 def _cmd_oracle(args):
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "bsc-spectrum":
-        spectrum = bsc_spectrum_uniform(args.bits, args.delta)
-        lines = ["value,multiplicity"]
-        lines += [f"{value!r},{mult}" for value, mult in spectrum]
         path = out / "bsc_spectrum.csv"
-        write_text_atomic(path, "\n".join(lines) + "\n")
-    elif args.kind == "bsc":
-        ds = bsc_sample(BscSpec(args.bits, args.delta, args.p), args.samples, args.seed)
-        path = out / "bsc_samples.csv"
-        _write_dataset_csv(path, ds)
-    elif args.kind == "gaussian":
-        ds = gaussian_pair_sample(
-            GaussianPairSpec(args.sigma1, args.sigma2, args.samples, args.seed)
-        )
-        path = out / "gaussian_samples.csv"
-        _write_dataset_csv(path, ds)
-    elif args.kind == "multimodal":
-        ds = multimodal_gaussian_sample(
-            mu0=args.mu0, mu1=args.mu1,
-            cov=[[args.var, args.cov], [args.cov, args.var]],
-            p_mode=args.p_mode, n=args.samples, seed=args.seed,
-        )
-        path = out / "multimodal_samples.csv"
-        _write_dataset_csv(path, ds)
-    else:  # pragma: no cover - argparse restricts choices
-        raise CaError(f"unknown oracle kind {args.kind}")
+        spectrum = bsc_spectrum_uniform(args.bits, args.delta)
+        write_text_atomic(path, csv_text(["value", "multiplicity"], spectrum))
+    else:
+        # Each source reads only its own keys.
+        ds = build_dataset({
+            "source": args.kind, "n_samples": args.samples, "seed": args.seed,
+            "n_bits": args.bits, "delta": args.delta, "p": args.p,
+            "sigma1": args.sigma1, "sigma2": args.sigma2,
+            "mu0": args.mu0, "mu1": args.mu1,
+            "cov": [[args.var, args.cov], [args.cov, args.var]], "p_mode": args.p_mode,
+        })
+        path = out / f"{args.kind}_samples.csv"
+        header = [f"x{k}" for k in range(ds.x.shape[0])]
+        header += [f"y{k}" for k in range(ds.y.shape[0])]
+        write_text_atomic(path, csv_text(header, np.vstack([ds.x, ds.y]).T.tolist()))
     print(f"wrote {path}")
     return 0
 
@@ -161,13 +125,9 @@ def _cmd_interpolate(args):
     path = fp.interpolate_path(model, start, end, args.steps)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    d = path.shape[1]
-    lines = ["step," + ",".join(f"f{k}" for k in range(d))]
-    lines += [
-        f"{idx}," + ",".join(repr(float(v)) for v in row) for idx, row in enumerate(path)
-    ]
+    header = ["step"] + [f"f{k}" for k in range(path.shape[1])]
     target = out / "interpolation.csv"
-    write_text_atomic(target, "\n".join(lines) + "\n")
+    write_text_atomic(target, csv_text(header, [[i, *row] for i, row in enumerate(path.tolist())]))
     print(f"wrote {target}")
     return 0
 

@@ -22,13 +22,13 @@ test_fraction / split_seed) and ``pmf_csv`` (exact joint table, svd
 mode only).  A ``--seed S`` override rewrites every seed in the
 document deterministically (dataset S, f_net S+1, g_net S+2, train
 S+3).  Artifacts carry the hash of the resolved config and contain no
-timestamps, so a rerun reproduces them byte for byte.
+timestamps, so a rerun with the same numpy/BLAS build and the same BLAS
+thread count reproduces them byte for byte (see :mod:`capic.fileio`).
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 from pathlib import Path
@@ -39,9 +39,9 @@ from . import factor_plane as fp
 from .classical import ca_decompose, contingency_from_pmf, contingency_from_samples
 from .datasets import PairedDataset, Split, load_csv, one_hot_decode
 from .errors import ContractViolationError, CsvParseError
-from .fileio import sha256_of_json, write_json_atomic, write_text_atomic
+from .fileio import csv_text, sha256_of_json, write_json_atomic, write_text_atomic
 from .model import CaNnModel, fit_ca_nn_model, load_model, save_model
-from .neural import MlpConfig, TrainConfig, evaluate_loss, mlp_init
+from .neural import MlpConfig, TrainConfig, evaluate_loss, forward, mlp_init
 from .oracles import (
     BscSpec,
     GaussianPairSpec,
@@ -65,6 +65,18 @@ def load_config(path) -> dict:
     return cfg
 
 
+def resolve_output_dir(out_dir=None, configured=None):
+    """The first of ``out_dir``, ``configured`` and ``$CA_OUTPUT_DIR`` that is set.
+
+    Returns None when none of them is.
+    """
+    if out_dir is not None:
+        return str(out_dir)
+    if configured is not None:
+        return configured
+    return os.environ.get(OUTPUT_DIR_ENV) or None
+
+
 def resolve_config(config, seed=None, out_dir=None) -> dict:
     """Fill overrides into a config document (returns a copy)."""
     cfg = json.loads(json.dumps(config))  # deep copy, JSON-safe by construction
@@ -74,16 +86,12 @@ def resolve_config(config, seed=None, out_dir=None) -> dict:
         cfg.setdefault("f_net", {})["seed"] = seed + 1
         cfg.setdefault("g_net", {})["seed"] = seed + 2
         cfg.setdefault("train", {})["seed"] = seed + 3
-    if out_dir is not None:
-        cfg["output_dir"] = str(out_dir)
-    if "output_dir" not in cfg:
-        env = os.environ.get(OUTPUT_DIR_ENV)
-        if env:
-            cfg["output_dir"] = env
-    if "output_dir" not in cfg:
+    output_dir = resolve_output_dir(out_dir, cfg.get("output_dir"))
+    if output_dir is None:
         raise ContractViolationError(
             f"no output directory: set output_dir, pass --out, or export {OUTPUT_DIR_ENV}"
         )
+    cfg["output_dir"] = output_dir
     return cfg
 
 
@@ -92,43 +100,33 @@ def config_hash(cfg: dict) -> str:
     return sha256_of_json({k: v for k, v in cfg.items() if k != "output_dir"})
 
 
-def _with_split(ds: PairedDataset, n_train: int, n_test: int) -> PairedDataset:
-    if n_test <= 0:
-        return ds
-    ds.split = Split(
-        train_idx=np.arange(n_train), test_idx=np.arange(n_train, n_train + n_test)
-    )
-    return ds
+#: Samplers of the synthetic sources, called with the dataset config,
+#: the total sample count and the seed.
+_SAMPLERS = {
+    "bsc": lambda c, n, seed: bsc_sample(
+        BscSpec(n_bits=int(c["n_bits"]), delta=float(c["delta"]), p=float(c.get("p", 0.5))),
+        n, seed=seed,
+    ),
+    "gaussian": lambda c, n, seed: gaussian_pair_sample(
+        GaussianPairSpec(
+            sigma1=float(c["sigma1"]), sigma2=float(c["sigma2"]), n_samples=n, seed=seed
+        )
+    ),
+    "multimodal": lambda c, n, seed: multimodal_gaussian_sample(
+        mu0=c["mu0"], mu1=c["mu1"], cov=c["cov"], p_mode=float(c.get("p_mode", 0.5)),
+        n=n, seed=seed,
+    ),
+}
 
 
 def build_dataset(dcfg: dict) -> PairedDataset:
+    """Make the dataset a config's ``dataset`` block describes.
+
+    Synthetic sources draw ``n_samples + n_test`` samples; with
+    ``n_test > 0`` the first ``n_samples`` form the train split and the
+    rest the test split.
+    """
     source = dcfg.get("source")
-    if source == "bsc":
-        spec = BscSpec(
-            n_bits=int(dcfg["n_bits"]), delta=float(dcfg["delta"]),
-            p=float(dcfg.get("p", 0.5)),
-        )
-        n_train = int(dcfg["n_samples"])
-        n_test = int(dcfg.get("n_test", 0))
-        ds = bsc_sample(spec, n_train + n_test, seed=int(dcfg.get("seed", 0)))
-        return _with_split(ds, n_train, n_test)
-    if source == "gaussian":
-        n_train = int(dcfg["n_samples"])
-        n_test = int(dcfg.get("n_test", 0))
-        spec = GaussianPairSpec(
-            sigma1=float(dcfg["sigma1"]), sigma2=float(dcfg["sigma2"]),
-            n_samples=n_train + n_test, seed=int(dcfg.get("seed", 0)),
-        )
-        return _with_split(gaussian_pair_sample(spec), n_train, n_test)
-    if source == "multimodal":
-        n_train = int(dcfg["n_samples"])
-        n_test = int(dcfg.get("n_test", 0))
-        ds = multimodal_gaussian_sample(
-            mu0=dcfg["mu0"], mu1=dcfg["mu1"], cov=dcfg["cov"],
-            p_mode=float(dcfg.get("p_mode", 0.5)),
-            n=n_train + n_test, seed=int(dcfg.get("seed", 0)),
-        )
-        return _with_split(ds, n_train, n_test)
     if source == "csv":
         return load_csv(
             dcfg["path"], dcfg["schema"],
@@ -136,7 +134,15 @@ def build_dataset(dcfg: dict) -> PairedDataset:
             test_fraction=float(dcfg.get("test_fraction", 0.0)),
             split_seed=int(dcfg.get("split_seed", dcfg.get("seed", 0))),
         )
-    raise ContractViolationError(f"unknown dataset source {source!r}")
+    if source not in _SAMPLERS:
+        raise ContractViolationError(f"unknown dataset source {source!r}")
+    n_train = int(dcfg["n_samples"])
+    n_test = int(dcfg.get("n_test", 0))
+    n = n_train + n_test
+    ds = _SAMPLERS[source](dcfg, n, int(dcfg.get("seed", 0)))
+    if n_test > 0:
+        ds.split = Split(train_idx=np.arange(n_train), test_idx=np.arange(n_train, n))
+    return ds
 
 
 def read_pmf_csv(path):
@@ -185,19 +191,6 @@ def _train_config(tcfg: dict) -> TrainConfig:
     )
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 def category_g_points(model: CaNnModel, labels):
     """Per-category principal-function values of a one-hot y encoder."""
     k = len(labels)
@@ -208,7 +201,6 @@ def category_g_points(model: CaNnModel, labels):
 def evaluate_model(model: CaNnModel, data: PairedDataset):
     """Apply the stored whitening to train and (if present) test splits."""
     x_tr, y_tr = data.train_arrays()
-    from .neural import forward  # local import keeps module load light
 
     def raw(params, mat):
         out, _ = forward(params, mat)
@@ -227,20 +219,23 @@ def evaluate_model(model: CaNnModel, data: PairedDataset):
     return train_pf, test_pf
 
 
+def _write_factor_table(path, first, letter, labels, points):
+    """One row per point (a row of ``points``): its label, then its coordinates.
+
+    Row ``i`` takes ``labels[i]``.
+    """
+    header = [first] + [f"{letter}{k}" for k in range(points.shape[1])]
+    rows = [[str(labels[i]), *coords] for i, coords in enumerate(points.tolist())]
+    write_text_atomic(path, csv_text(header, rows))
+
+
 def _write_factor_tables(out, prefix, pf, labels=None):
-    d = pf.f.shape[0]
-    header = ["index"] + [f"f{k}" for k in range(d)]
-    rows = [
-        [str(i)] + [_fmt(v) for v in pf.f[:, i]] for i in range(pf.f.shape[1])
-    ]
-    write_text_atomic(out / f"factors_x_{prefix}.csv", _csv_text(header, rows))
-    header = ["label"] + [f"g{k}" for k in range(d)]
-    if labels is None:
-        labels = [str(i) for i in range(pf.g.shape[1])]
-    rows = [
-        [str(labels[i])] + [_fmt(v) for v in pf.g[:, i]] for i in range(pf.g.shape[1])
-    ]
-    write_text_atomic(out / f"factors_y_{prefix}.csv", _csv_text(header, rows))
+    samples = range(pf.f.shape[1])
+    _write_factor_table(out / f"factors_x_{prefix}.csv", "index", "f", samples, pf.f.T)
+    _write_factor_table(
+        out / f"factors_y_{prefix}.csv", "label", "g",
+        samples if labels is None else labels, pf.g.T,
+    )
 
 
 def run_experiment(config, seed=None, out_dir=None) -> Path:
@@ -285,25 +280,12 @@ def _run_svd(cfg, out, cfg_hash):
     else:
         raise ContractViolationError("svd mode supports dataset sources pmf_csv and csv")
     decomp = ca_decompose(table)
-    d = decomp.d
-    header = ["label"] + [f"f{k}" for k in range(d)]
-    rows = [
-        [str(l)] + [_fmt(v) for v in decomp.l_factors[i]]
-        for i, l in enumerate(table.x_labels)
-    ]
-    write_text_atomic(out / "factors_x.csv", _csv_text(header, rows))
-    header = ["label"] + [f"g{k}" for k in range(d)]
-    rows = [
-        [str(l)] + [_fmt(v) for v in decomp.r_factors[i]]
-        for i, l in enumerate(table.y_labels)
-    ]
-    write_text_atomic(out / "factors_y.csv", _csv_text(header, rows))
-    rows = [
-        [str(k), _fmt(decomp.sigmas[k]), _fmt(decomp.scores[k]), _fmt(decomp.score_ratios[k])]
-        for k in range(d)
-    ]
+    _write_factor_table(out / "factors_x.csv", "label", "f", table.x_labels, decomp.l_factors)
+    _write_factor_table(out / "factors_y.csv", "label", "g", table.y_labels, decomp.r_factors)
+    rows = zip(range(decomp.d), decomp.sigmas.tolist(), decomp.scores.tolist(),
+               decomp.score_ratios.tolist())
     write_text_atomic(
-        out / "scores.csv", _csv_text(["component", "sigma", "lambda", "score_ratio"], rows)
+        out / "scores.csv", csv_text(["component", "sigma", "lambda", "score_ratio"], rows)
     )
     for i, j in cfg.get("planes", []):
         plane, svg = fp.export_factor_plane(
@@ -343,12 +325,9 @@ def _run_train(cfg, out, cfg_hash):
     }
     write_json_atomic(out / "pic_report.json", report)
 
-    rows = [
-        [str(e), _fmt(rec.loss), _fmt(rec.kyfan_term), _fmt(rec.g_energy)]
-        for e, rec in enumerate(history)
-    ]
+    rows = [(e, rec.loss, rec.kyfan_term, rec.g_energy) for e, rec in enumerate(history)]
     write_text_atomic(
-        out / "loss_history.csv", _csv_text(["epoch", "loss", "kyfan_term", "g_energy"], rows)
+        out / "loss_history.csv", csv_text(["epoch", "loss", "kyfan_term", "g_energy"], rows)
     )
 
     y_cat = data.y_kind == "onehot"

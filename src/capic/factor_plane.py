@@ -9,15 +9,24 @@ same bytes.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classical import CaDecomposition
 from .errors import ContractViolationError, CsvParseError, UnsupportedOperationError
+from .fileio import csv_text
 from .whitening import PrincipalFunctions
 
 PLANE_CSV_HEADER = "# factor-plane v1"
+
+#: SVG canvas side and frame margin, in pixels.
+SVG_SIZE = 640
+SVG_MARGIN = 46
+#: Planes with more x points than this draw them without labels.
+SVG_MAX_X_LABELS = 50
 
 
 @dataclass
@@ -87,24 +96,17 @@ def export_factor_plane(source, i, j, x_labels=None, y_labels=None, y_points=Non
 
 def plane_to_csv(plane: FactorPlane) -> str:
     """Emit the plane as text; :func:`plane_from_csv` inverts it exactly."""
-    lines = [
-        PLANE_CSV_HEADER,
-        f"axes,{plane.axis_i},{plane.axis_j}",
-        f"score_ratios,{plane.score_ratios[0]!r},{plane.score_ratios[1]!r}",
-        "role,label,coord_i,coord_j",
+    rows = [
+        ["axes", plane.axis_i, plane.axis_j],
+        ["score_ratios", *plane.score_ratios],
+        ["role", "label", "coord_i", "coord_j"],
     ]
     for role, points in (("x", plane.x_points), ("y", plane.y_points)):
-        for label, ci, cj in points:
-            if "," in label or "\n" in label or '"' in label:
-                label = '"' + label.replace('"', '""') + '"'
-            lines.append(f"{role},{label},{ci!r},{cj!r}")
-    return "\n".join(lines) + "\n"
+        rows += [[role, *point] for point in points]
+    return csv_text([PLANE_CSV_HEADER], rows)
 
 
 def plane_from_csv(text: str) -> FactorPlane:
-    import csv as _csv
-    import io as _io
-
     lines = text.splitlines()
     if not lines or lines[0] != PLANE_CSV_HEADER:
         raise CsvParseError("not a factor-plane document", line=1)
@@ -113,7 +115,7 @@ def plane_from_csv(text: str) -> FactorPlane:
     if axes[0] != "axes" or ratios[0] != "score_ratios":
         raise CsvParseError("malformed factor-plane preamble", line=2)
     x_points, y_points = [], []
-    reader = _csv.reader(_io.StringIO("\n".join(lines[4:])))
+    reader = csv.reader(io.StringIO("\n".join(lines[4:])))
     for row in reader:
         if not row:
             continue
@@ -139,13 +141,13 @@ _SVG_STYLE = (
 )
 
 
-def render_svg(plane: FactorPlane, polyline=None, size=640, margin=46,
-               max_x_labels=50) -> str:
+def render_svg(plane: FactorPlane, polyline=None) -> str:
     """Deterministic SVG scatter of a factor plane.
 
     Dashed lines mark the two zero axes; x points draw as discs, y
     points as labelled diamonds.  Axis captions carry the score ratios.
     """
+    size, margin = SVG_SIZE, SVG_MARGIN
     coords = [(ci, cj) for _, ci, cj in plane.x_points + plane.y_points]
     if polyline:
         coords.extend(polyline)
@@ -174,7 +176,7 @@ def render_svg(plane: FactorPlane, polyline=None, size=640, margin=46,
         f'transform="rotate(-90 14 {size / 2:.1f})">'
         f"component {plane.axis_j + 1} (score ratio {plane.score_ratios[1]:.4f})</text>",
     ]
-    show_x_labels = len(plane.x_points) <= max_x_labels
+    show_x_labels = len(plane.x_points) <= SVG_MAX_X_LABELS
     for label, ci, cj in plane.x_points:
         out.append(f'<circle class="xpt" cx="{px(ci):.2f}" cy="{py(cj):.2f}" r="3"/>')
         if show_x_labels:

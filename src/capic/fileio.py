@@ -2,12 +2,17 @@
 
 Artifacts are written atomically (temp file in the target directory,
 then rename) and contain no timestamps, so rerunning a configuration
-reproduces every output byte for byte.
+with the same numpy/BLAS build and the same BLAS thread count
+reproduces every output byte for byte.  Across thread counts the
+floating-point reductions run in another order and the numbers can
+differ in the last digits.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -25,6 +30,23 @@ def write_text_atomic(path, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header row and data rows, with ``\n`` line ends.
+
+    The csv module quotes cells that hold a comma, a quote or a
+    newline.  Floats (numpy ones too) are written with ``repr``, so they
+    read back exactly.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [repr(float(cell)) if isinstance(cell, float) else cell for cell in row]
+        for row in rows
+    )
+    return buf.getvalue()
 
 
 def dump_json(obj) -> str:

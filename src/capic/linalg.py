@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import ContractViolationError, NotPsdError, NumericFailureError
 
-# Relative cutoff below which eigen/singular values count as exact zeros
-# when inverting.  Rank deficiency does happen in practice, e.g. for
-# degenerate contingency tables.
+# Relative cutoff at or below which eigenvalues count as exact zeros
+# when raising a PSD matrix to a power (see psd_power).  Rank deficiency
+# does happen in practice, e.g. for a collapsed encoder.
 RANK_TOL = 1e-12
 
 
@@ -100,27 +100,37 @@ def eig_sym(m):
     return w, v
 
 
-def inv_sqrt_psd(m, eps: float = 0.0) -> np.ndarray:
-    """Inverse square root ``v @ diag((w + eps)**-0.5) @ v.T`` of a PSD matrix.
+class PsdPower(NamedTuple):
+    matrix: np.ndarray  # v @ diag(w**p) @ v.T over the kept modes
+    w: np.ndarray       # eigenvalues as computed (not clipped), descending
+    rank: int           # number of modes kept
 
-    With ``eps == 0`` modes whose eigenvalue falls below
-    ``RANK_TOL * max(w)`` are dropped (their inverse root is set to
-    zero) instead of blowing up; with ``eps > 0`` every mode stays
-    well-conditioned.  Eigenvalues below ``-1e-8`` raise
-    :class:`NotPsdError`.
+
+def psd_power(m, p: float) -> PsdPower:
+    """Power ``m**p`` of a PSD matrix over the modes it does not drop.
+
+    Eigenvalues are clipped at 0, and modes whose eigenvalue is not
+    above ``RANK_TOL * max(w)`` are dropped: their power is set to zero
+    instead of blowing up (for ``p < 0`` this gives the pseudo-inverse
+    power).  A caller that needs full rank compares ``rank`` with the
+    size of ``m``; one that must reject clearly negative eigenvalues
+    checks ``w``.
     """
-    if eps < 0:
-        raise ContractViolationError("eps must be >= 0")
     w, v = eig_sym(m)
+    clipped = np.maximum(w, 0.0)
+    keep = clipped > RANK_TOL * clipped.max(initial=0.0)
+    powered = np.zeros_like(clipped)
+    powered[keep] = clipped[keep] ** p
+    return PsdPower((v * powered) @ v.T, w, int(keep.sum()))
+
+
+def inv_sqrt_psd(m) -> np.ndarray:
+    """Inverse square root ``m**-0.5`` of a PSD matrix, see :func:`psd_power`.
+
+    Modes below the rank cutoff get an inverse root of zero.
+    Eigenvalues below ``-1e-8`` raise :class:`NotPsdError`.
+    """
+    root, w, _ = psd_power(m, -0.5)
     if w.size and float(w.min()) < -1e-8:
         raise NotPsdError(f"matrix has negative eigenvalue {w.min():.3e}")
-    w = np.maximum(w, 0.0)
-    shifted = w + eps
-    inv_root = np.zeros_like(shifted)
-    if eps > 0:
-        inv_root = shifted ** -0.5
-    else:
-        wmax = float(w.max()) if w.size else 0.0
-        keep = w > RANK_TOL * wmax if wmax > 0 else np.zeros_like(w, dtype=bool)
-        inv_root[keep] = w[keep] ** -0.5
-    return (v * inv_root) @ v.T
+    return root

@@ -9,19 +9,13 @@ cross-covariance ``C_f^{-1/2} C_fg`` with ``C_f = (1/n) F F^T`` and
 ``C_fg = (1/n) F G^T``.  Minimizing it drives the two encoders toward
 the leading principal-function pairs of the joint distribution.
 
-Two computational routes are provided for the Ky-Fan term:
-
-* the default surrogate evaluates ``sum sqrt(eig(M))`` with
-  ``M = C_fg^T (C_f^{-1} + eps*I) C_fg``, which equals the nuclear norm
-  above at ``eps = 0`` and stays stable when ``C_f`` is poorly
-  conditioned;
-* an explicit-SVD route (``exact=True``) forms
-  ``(C_f^{-1} + eps*I)^{1/2} C_fg`` and differentiates through
-  ``d||B||_* / dB = U V^T``.  It exists to cross-check the surrogate
-  and is mathematically the same function of the batch.
-
-Gradients are analytic in both routes and are validated against central
-finite differences in the test suite.
+The Ky-Fan term is evaluated as ``sum sqrt(eig(M))`` with
+``M = C_fg^T (C_f^{-1} + eps*I) C_fg``.  This equals the nuclear norm of
+``(C_f^{-1} + eps*I)^{1/2} C_fg``, which is the nuclear norm above at
+``eps = 0``, and it needs no matrix square root of ``C_f``, so it stays
+stable when ``C_f`` is poorly conditioned.  Its gradients are analytic.
+The test suite checks them against central finite differences and checks
+value and gradients against an explicit-SVD reference implementation.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, SingularCovarianceError
-from .linalg import RANK_TOL, as_matrix, eig_sym, svd
+from .linalg import as_matrix, psd_power
 
 #: Default regularizer for the surrogate route; 0 is allowed for
 #: evaluation-only reporting when C_f is full rank.
@@ -89,26 +83,6 @@ def empirical_covariances(b: BatchOutputs):
     return c_f, c_fg, g_energy
 
 
-def _pinv_psd(c_f: np.ndarray, eps: float) -> np.ndarray:
-    """Pseudo-inverse of a PSD matrix via eigendecomposition.
-
-    Eigenvalues below ``RANK_TOL * max`` count as zero.  With
-    ``eps == 0`` a rank-deficient ``C_f`` is an error because the
-    whitened cross-covariance is then undefined; the caller should pass
-    ``eps > 0`` instead.
-    """
-    w, v = eig_sym(c_f)
-    w = np.maximum(w, 0.0)
-    wmax = float(w.max()) if w.size else 0.0
-    keep = w > RANK_TOL * wmax if wmax > 0 else np.zeros_like(w, dtype=bool)
-    if eps == 0.0 and not keep.all():
-        raise SingularCovarianceError(
-            "C_f is singular; pass eps > 0 to use the regularized surrogate"
-        )
-    inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    return (v * inv_w) @ v.T
-
-
 def _kyfan_surrogate(c_f, c_fg, eps):
     """Value and covariance-space gradients of the surrogate Ky-Fan term.
 
@@ -118,58 +92,27 @@ def _kyfan_surrogate(c_f, c_fg, eps):
         d/d C_fg     = W C_fg M^{-1/2}
         d/d C_f      = -1/2 C_f^{-1} C_fg M^{-1/2} C_fg^T C_f^{-1}
 
-    ``M^{-1/2}`` drops modes below the rank cutoff, which is the
-    subgradient choice at zero singular values.
+    ``C_f^{-1}`` and ``M^{-1/2}`` drop modes below the rank cutoff; for
+    ``M`` that is the subgradient choice at zero singular values.  With
+    ``eps == 0`` a rank-deficient ``C_f`` is an error because the
+    whitened cross-covariance is then undefined.
     """
     d = c_f.shape[0]
-    cf_inv = _pinv_psd(c_f, eps)
+    cf_inv, _, rank = psd_power(c_f, -1.0)
+    if eps == 0.0 and rank < d:
+        raise SingularCovarianceError(
+            "C_f is singular; pass eps > 0 to use the regularized surrogate"
+        )
     w_mat = cf_inv + eps * np.eye(d)
     m = c_fg.T @ w_mat @ c_fg
-    m = (m + m.T) / 2.0
-    mu, z = eig_sym(m)
-    mu = np.maximum(mu, 0.0)
-    kyfan = float(np.sqrt(mu).sum())
-    mu_max = float(mu.max()) if mu.size else 0.0
-    keep = mu > RANK_TOL * mu_max if mu_max > 0 else np.zeros_like(mu, dtype=bool)
-    inv_root = np.where(keep, 1.0 / np.sqrt(np.where(keep, mu, 1.0)), 0.0)
-    m_inv_half = (z * inv_root) @ z.T
+    m_inv_half, mu, _ = psd_power((m + m.T) / 2.0, -0.5)
+    kyfan = float(np.sqrt(np.maximum(mu, 0.0)).sum())
     grad_cfg = w_mat @ c_fg @ m_inv_half
     grad_cf = -0.5 * cf_inv @ c_fg @ m_inv_half @ c_fg.T @ cf_inv
     return kyfan, grad_cf, grad_cfg
 
 
-def _kyfan_exact(c_f, c_fg, eps):
-    """Explicit-SVD route for the Ky-Fan term.
-
-    Forms ``B = W^{1/2} C_fg`` with ``W = C_f^{-1} + eps*I`` (at
-    ``eps = 0`` this is ``C_f^{-1/2} C_fg``), takes ``kyfan = ||B||_*``
-    and differentiates with ``d||B||_*/dB = U V^T``, chaining through
-    the matrix square root with the eigenbasis divided-difference rule
-    ``1 / (sqrt(w_i) + sqrt(w_j))``.
-    """
-    d = c_f.shape[0]
-    cf_inv = _pinv_psd(c_f, eps)
-    w_mat = cf_inv + eps * np.eye(d)
-    omega, e = eig_sym(w_mat)
-    omega = np.maximum(omega, 0.0)
-    root = np.sqrt(omega)
-    w_half = (e * root) @ e.T
-    b = w_half @ c_fg
-    u, s, vt = svd(b)
-    kyfan = float(s.sum())
-    g_b = u @ vt
-    grad_cfg = w_half @ g_b
-    # d kyfan / d W through the matrix square root of W.
-    a = c_fg @ g_b.T
-    a = (a + a.T) / 2.0
-    denom = root[:, None] + root[None, :]
-    denom = np.where(denom > 0, denom, 1.0)
-    grad_w = e @ ((e.T @ a @ e) / denom) @ e.T
-    grad_cf = -cf_inv @ grad_w @ cf_inv
-    return kyfan, grad_cf, grad_cfg
-
-
-def pic_loss(b: BatchOutputs, eps: float = DEFAULT_EPS, exact: bool = False) -> LossReport:
+def pic_loss(b: BatchOutputs, eps: float = DEFAULT_EPS) -> LossReport:
     """Loss, term breakdown and batch-output gradients for one batch.
 
     ``eps`` regularizes the inverse covariance inside the Ky-Fan term;
@@ -181,8 +124,7 @@ def pic_loss(b: BatchOutputs, eps: float = DEFAULT_EPS, exact: bool = False) -> 
         raise ContractViolationError("eps must be >= 0")
     n = b.n
     c_f, c_fg, g_energy = empirical_covariances(b)
-    route = _kyfan_exact if exact else _kyfan_surrogate
-    kyfan, grad_cf, grad_cfg = route(c_f, c_fg, eps)
+    kyfan, grad_cf, grad_cfg = _kyfan_surrogate(c_f, c_fg, eps)
     loss = -2.0 * kyfan + g_energy
     # Chain covariance-space gradients to the batch matrices and fold in
     # the -2 factor and the g-energy term.
@@ -191,7 +133,7 @@ def pic_loss(b: BatchOutputs, eps: float = DEFAULT_EPS, exact: bool = False) -> 
     return LossReport(loss, kyfan, g_energy, grad_f, grad_g)
 
 
-def pic_loss_grad(b: BatchOutputs, eps: float = DEFAULT_EPS, exact: bool = False):
+def pic_loss_grad(b: BatchOutputs, eps: float = DEFAULT_EPS):
     """Gradients of :func:`pic_loss` with respect to the encoder outputs."""
-    report = pic_loss(b, eps=eps, exact=exact)
+    report = pic_loss(b, eps=eps)
     return report.grad_f, report.grad_g

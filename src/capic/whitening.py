@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateEmbeddingError
-from .linalg import RANK_TOL, as_matrix, eig_sym, inv_sqrt_psd, svd
+from .linalg import as_matrix, psd_power, svd
 
 #: Reported diagonal entries are clipped into this interval; the raw
 #: values stay available on the result.
@@ -49,18 +49,17 @@ class PrincipalFunctions:
     raw_diagonal: np.ndarray    # as computed
 
 
-def _centered_cov(m, which):
+def _center_and_whiten(m, which):
+    """Row means, centered rows and the inverse square root of their covariance."""
     mean = m.mean(axis=1)
     centered = m - mean[:, None]
-    cov = centered @ centered.T / m.shape[1]
-    w, _ = eig_sym(cov)
-    wmax = float(w.max()) if w.size else 0.0
-    if wmax <= 0 or float(w.min()) <= RANK_TOL * wmax:
+    root, w, rank = psd_power(centered @ centered.T / m.shape[1], -0.5)
+    if rank < m.shape[0]:
         raise DegenerateEmbeddingError(
             f"{which} outputs collapsed: sample covariance is rank-deficient "
             f"(eigenvalues {np.array2string(w, precision=3)})"
         )
-    return mean, centered, cov
+    return mean, centered, root
 
 
 def fit_whitening(f_tilde, g_tilde, fitted_on: str = "") -> WhiteningTransform:
@@ -79,10 +78,8 @@ def fit_whitening(f_tilde, g_tilde, fitted_on: str = "") -> WhiteningTransform:
     d, n = f_tilde.shape
     if n <= d:
         raise ContractViolationError(f"need n > d to fit whitening, got n={n}, d={d}")
-    mean_f, fc, c_f = _centered_cov(f_tilde, "F-encoder")
-    mean_g, gc, c_g = _centered_cov(g_tilde, "G-encoder")
-    cf_root = inv_sqrt_psd(c_f, 0.0)
-    cg_root = inv_sqrt_psd(c_g, 0.0)
+    mean_f, fc, cf_root = _center_and_whiten(f_tilde, "F-encoder")
+    mean_g, gc, cg_root = _center_and_whiten(g_tilde, "G-encoder")
     cross = (cf_root @ fc) @ (cg_root @ gc).T / n
     u, _, vt = svd(cross)
     return WhiteningTransform(

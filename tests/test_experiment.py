@@ -158,6 +158,21 @@ class TestCli:
         assert text[0] == "value,multiplicity"
         assert text[1].endswith(",5")  # C(5,1) entries of 0.8
 
+    @pytest.mark.parametrize("argv,name,expected", [
+        (["bsc-spectrum", "--bits", "2", "--delta", "0.25"], "bsc_spectrum.csv",
+         "value,multiplicity\n0.5,2\n0.25,1\n"),
+        (["bsc", "--bits", "2", "--samples", "3", "--seed", "0"], "bsc_samples.csv",
+         "x0,x1,y0,y1\n0.0,1.0,0.0,1.0\n1.0,0.0,1.0,0.0\n1.0,0.0,1.0,1.0\n"),
+    ])
+    def test_oracle_output_bytes(self, tmp_path, argv, name, expected):
+        assert main(["oracle", *argv, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / name).read_bytes() == expected.encode()
+
+    def test_oracle_output_dir_env_fallback(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CA_OUTPUT_DIR", str(tmp_path / "envout"))
+        assert main(["oracle", "bsc-spectrum", "--bits", "2"]) == 0
+        assert (tmp_path / "envout" / "bsc_spectrum.csv").exists()
+
     def test_oracle_emits_samples(self, tmp_path):
         code = main([
             "oracle", "bsc", "--bits", "3", "--delta", "0.1", "--samples", "20",

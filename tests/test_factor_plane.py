@@ -4,6 +4,7 @@ import pytest
 from capic.classical import ca_decompose, contingency_from_pmf, contingency_from_samples
 from capic.errors import ContractViolationError, UnsupportedOperationError
 from capic.factor_plane import (
+    FactorPlane,
     export_factor_plane,
     interpolate_path,
     plane_from_csv,
@@ -110,8 +111,28 @@ class TestCsvTwin:
 
     def test_round_trip_with_awkward_labels(self):
         _, decomp = small_decomposition()
-        labels = ['with,comma', 'with "quote"', "plain", "x"]
+        labels = ['with,comma', 'with "quote"', "with\nnewline", "plain"]
         plane, _ = export_factor_plane(decomp, 0, 1, x_labels=labels)
+        assert plane_from_csv(plane_to_csv(plane)) == plane
+
+
+    def test_text_bytes(self):
+        plane = FactorPlane(
+            axis_i=0, axis_j=2,
+            x_points=[("a", 0.5, -0.25), ("with,comma", 1e-17, 3.0)],
+            y_points=[('say "hi"', -1.5, 0.1), ("two\nlines", 0.0, 2.5e16)],
+            score_ratios=(0.75, 0.125),
+        )
+        assert plane_to_csv(plane) == (
+            "# factor-plane v1\n"
+            "axes,0,2\n"
+            "score_ratios,0.75,0.125\n"
+            "role,label,coord_i,coord_j\n"
+            "x,a,0.5,-0.25\n"
+            'x,"with,comma",1e-17,3.0\n'
+            'y,"say ""hi""",-1.5,0.1\n'
+            'y,"two\nlines",0.0,2.5e+16\n'
+        )
         assert plane_from_csv(plane_to_csv(plane)) == plane
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from capic.errors import ContractViolationError, NotPsdError
-from capic.linalg import as_matrix, eig_sym, inv_sqrt_psd, svd
+from capic.linalg import as_matrix, eig_sym, inv_sqrt_psd, psd_power, svd
 
 
 class TestSvd:
@@ -106,14 +106,6 @@ class TestInvSqrtPsd:
         r = inv_sqrt_psd(m)
         np.testing.assert_allclose(r @ m @ r, np.eye(5), atol=1e-6)
 
-    def test_near_singular_with_eps_stays_finite(self):
-        out = inv_sqrt_psd(np.diag([1.0, 1e-14]), eps=1e-3)
-        assert np.all(np.isfinite(out))
-        # closed form per mode: (w + eps) ** -0.5
-        np.testing.assert_allclose(
-            np.diag(out), [(1.0 + 1e-3) ** -0.5, (1e-14 + 1e-3) ** -0.5], rtol=1e-12
-        )
-
     def test_rank_deficient_clamps_to_zero(self):
         out = inv_sqrt_psd(np.diag([1.0, 0.0]))
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
@@ -121,6 +113,34 @@ class TestInvSqrtPsd:
     def test_not_psd_raises(self):
         with pytest.raises(NotPsdError):
             inv_sqrt_psd(np.diag([1.0, -1.0]))
+
+
+class TestPsdPower:
+    def test_pseudo_inverse_drops_modes_under_the_cutoff(self):
+        # 1e-14 is under RANK_TOL * 4 and the tiny negative eigenvalue is
+        # clipped, so both modes are dropped and the rank is 1.
+        q = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, np.sqrt(2.0)]])
+        q /= np.sqrt(2.0)
+        m = q @ np.diag([4.0, 1e-14, -1e-20]) @ q.T
+        out, w, rank = psd_power(m, -1.0)
+        assert rank == 1
+        np.testing.assert_allclose(w, [4.0, 1e-14, -1e-20], atol=1e-15)
+        np.testing.assert_allclose(out, np.outer(q[:, 0], q[:, 0]) / 4.0, atol=1e-12)
+
+    def test_matches_closed_form_powers(self):
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(4, 4))
+        m = a @ a.T + 0.1 * np.eye(4)
+        root, _, rank = psd_power(m, 0.5)
+        assert rank == 4
+        np.testing.assert_allclose(root @ root, m, atol=1e-10)
+        inv, _, _ = psd_power(m, -1.0)
+        np.testing.assert_allclose(inv @ m, np.eye(4), atol=1e-10)
+
+    def test_zero_matrix_keeps_no_mode(self):
+        out, _, rank = psd_power(np.zeros((2, 2)), -0.5)
+        assert rank == 0
+        assert np.array_equal(out, np.zeros((2, 2)))
 
 
 def test_as_matrix_rejects_vectors():
