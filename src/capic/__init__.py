@@ -34,7 +34,7 @@ from .neural import (
     mlp_init,
     train_ca_nn,
 )
-from .objective import BatchOutputs, LossReport, empirical_covariances, pic_loss, pic_loss_grad
+from .objective import BatchOutputs, LossReport, empirical_covariances, pic_loss
 from .oracles import (
     BscSpec,
     GaussianPairSpec,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import factor_plane as fp
 from .datasets import apply_standardization
-from .errors import CaError
+from .errors import CaError, ContractViolationError
 from .experiment import (
     build_dataset,
     category_g_points,
@@ -84,6 +84,10 @@ def _cmd_plane(args):
 
 
 def _cmd_oracle(args):
+    if args.kind == "bsc-spectrum" and args.p != 0.5:
+        raise ContractViolationError(
+            f"bsc-spectrum has a closed form for --p 0.5 only, got --p {args.p}"
+        )
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "bsc-spectrum":

@@ -17,6 +17,7 @@ from .errors import (
     CsvParseError,
     EmptyDatasetError,
 )
+from .fileio import csv_text, write_text_atomic
 
 ROLES = ("x-continuous", "x-categorical", "y-continuous", "y-categorical", "ignore")
 
@@ -133,9 +134,8 @@ def load_csv(path, schema, standardize=False, test_fraction=0.0, split_seed=0):
 
     ``schema`` maps every header name to one of ``x-continuous``,
     ``x-categorical``, ``y-continuous``, ``y-categorical`` or
-    ``ignore``.  Categorical columns are one-hot encoded in
-    lexicographic label order; mixing categorical and continuous columns
-    on the same side is not supported.  With ``standardize=True`` each
+    ``ignore``.  Each side is either continuous columns or a single
+    categorical column, one-hot encoded in lexicographic label order.  With ``standardize=True`` each
     continuous row is shifted/scaled to zero mean and unit variance
     using statistics of the training split only.
     """
@@ -188,15 +188,16 @@ def load_csv(path, schema, standardize=False, test_fraction=0.0, split_seed=0):
             )
         if not cont and not cat:
             raise ContractViolationError(f"schema assigns no columns to the {prefix} side")
+        if len(cat) > 1:
+            # stacked one-hot blocks would sum to len(cat) per sample
+            raise ContractViolationError(
+                f"{prefix} side has several categorical columns {cat}; "
+                "at most one is supported"
+            )
         if cont:
             return np.array([columns[c] for c in cont]), "continuous", None, cont
-        blocks = []
-        labels = []
-        for c in cat:
-            block, labs = one_hot_encode(columns[c])
-            blocks.append(block)
-            labels.extend((c, l) if len(cat) > 1 else l for l in labs)
-        return np.vstack(blocks), "onehot", tuple(labels), cat
+        mat, labels = one_hot_encode(columns[cat[0]])
+        return mat, "onehot", labels, cat
 
     x, x_kind, x_labels, x_cols = build_side("x")
     y, y_kind, y_labels, y_cols = build_side("y")
@@ -278,9 +279,8 @@ def synthetic_wine_csv(path, n_samples=4898, seed=0):
     quality = np.array(
         [grades_by_group[g][rng.integers(0, len(grades_by_group[g]))] for g in group]
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(WINE_ATTRIBUTES) + ["quality"])
-        for i in range(n_samples):
-            writer.writerow([repr(float(v)) for v in rows[i]] + [str(quality[i])])
+    write_text_atomic(path, csv_text(
+        list(WINE_ATTRIBUTES) + ["quality"],
+        (row.tolist() + [q] for row, q in zip(rows, quality.tolist())),
+    ))
     return path

@@ -95,7 +95,7 @@ def export_factor_plane(source, i, j, x_labels=None, y_labels=None, y_points=Non
 
 
 def plane_to_csv(plane: FactorPlane) -> str:
-    """Emit the plane as text; :func:`plane_from_csv` inverts it exactly."""
+    """Emit the plane as text for :func:`plane_from_csv`."""
     rows = [
         ["axes", plane.axis_i, plane.axis_j],
         ["score_ratios", *plane.score_ratios],
@@ -107,28 +107,36 @@ def plane_to_csv(plane: FactorPlane) -> str:
 
 
 def plane_from_csv(text: str) -> FactorPlane:
-    lines = text.splitlines()
-    if not lines or lines[0] != PLANE_CSV_HEADER:
-        raise CsvParseError("not a factor-plane document", line=1)
-    axes = lines[1].split(",")
-    ratios = lines[2].split(",")
-    if axes[0] != "axes" or ratios[0] != "score_ratios":
-        raise CsvParseError("malformed factor-plane preamble", line=2)
-    x_points, y_points = [], []
-    reader = csv.reader(io.StringIO("\n".join(lines[4:])))
-    for row in reader:
-        if not row:
-            continue
-        role, label, ci, cj = row
-        target = x_points if role == "x" else y_points
-        target.append((label, float(ci), float(cj)))
-    return FactorPlane(
-        axis_i=int(axes[1]),
-        axis_j=int(axes[2]),
-        x_points=x_points,
-        y_points=y_points,
-        score_ratios=(float(ratios[1]), float(ratios[2])),
-    )
+    """Parse a :func:`plane_to_csv` document.
+
+    This inverts :func:`plane_to_csv` exactly unless a label holds a
+    carriage return and no comma, quote or newline: the writer ends lines
+    with ``\\n`` and so leaves such a ``\\r`` unquoted, and the document
+    raises :class:`CsvParseError`.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, line = [], 1  # rows are (line the row starts on, fields)
+    try:
+        for fields in reader:
+            rows.append((line, fields))
+            line = reader.line_num + 1
+        if not rows or rows[0][1] != [PLANE_CSV_HEADER]:
+            raise CsvParseError("not a factor-plane document", line=1)
+        if [fields[:1] for _, fields in rows[1:4]] != [["axes"], ["score_ratios"], ["role"]]:
+            raise CsvParseError("malformed factor-plane preamble", line=2)
+        points = {"x": [], "y": []}
+        for k, (line, fields) in enumerate(rows[1:], start=1):
+            if len(fields) != (3 if k < 3 else 4):
+                raise CsvParseError(f"row has {len(fields)} fields", line=line)
+            if k == 1:
+                axes = (int(fields[1]), int(fields[2]))
+            elif k == 2:
+                ratios = (float(fields[1]), float(fields[2]))
+            elif k > 3:
+                points[fields[0]].append((fields[1], float(fields[2]), float(fields[3])))
+    except (csv.Error, KeyError, ValueError) as exc:
+        raise CsvParseError(f"malformed factor-plane document: {exc}", line=line) from None
+    return FactorPlane(*axes, points["x"], points["y"], ratios)
 
 
 _SVG_STYLE = (

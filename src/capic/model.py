@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError
-from .fileio import write_text_atomic
+from .fileio import write_json_atomic
 from .neural import MlpConfig, MlpParams, forward, train_ca_nn
 from .whitening import WhiteningTransform, apply_whitening, fit_whitening
 
@@ -155,21 +155,10 @@ def model_from_doc(doc: dict) -> CaNnModel:
 
 
 def save_model(model: CaNnModel, path):
-    write_text_atomic(path, json.dumps(model_to_doc(model), sort_keys=True, indent=2) + "\n")
+    write_json_atomic(path, model_to_doc(model))
 
 
 def load_model(path) -> CaNnModel:
     with open(path) as fh:
         return model_from_doc(json.load(fh))
 
-
-# re-export for callers that train and save in one place
-__all__ = [
-    "CaNnModel",
-    "fit_ca_nn_model",
-    "save_model",
-    "load_model",
-    "model_to_doc",
-    "model_from_doc",
-    "train_ca_nn",
-]

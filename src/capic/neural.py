@@ -69,8 +69,9 @@ def mlp_init(cfg: MlpConfig) -> MlpParams:
 
 
 class ForwardCache(NamedTuple):
+    """What :func:`backward` reads; activation derivatives come from the outputs."""
+
     x: np.ndarray
-    hidden_pre: list     # pre-activation of each hidden layer
     hidden_post: list    # activated hidden outputs
     pass_mask: np.ndarray | None  # False where output clipping saturated
 
@@ -83,12 +84,13 @@ def _activate(z, kind):
     return z
 
 
-def _activate_grad(z, post, kind):
+def _activate_grad(post, kind):
+    """Activation derivative in terms of the activated output."""
     if kind == "relu":
-        return (z > 0).astype(z.dtype)
+        return post > 0  # max(z, 0) > 0 exactly when z > 0
     if kind == "tanh":
         return 1.0 - post ** 2
-    return np.ones_like(z)
+    return 1.0
 
 
 def forward(p: MlpParams, x_batch):
@@ -105,20 +107,17 @@ def forward(p: MlpParams, x_batch):
         raise ContractViolationError(
             f"input width {x.shape[0]} does not match config width {cfg.in_width}"
         )
-    hidden_pre = []
     hidden_post = []
     a = x
     for w, b in zip(p.weights[:-1], p.biases[:-1]):
-        z = w @ a + b[:, None]
-        a = _activate(z, cfg.activation)
-        hidden_pre.append(z)
+        a = _activate(w @ a + b[:, None], cfg.activation)
         hidden_post.append(a)
     out = p.weights[-1] @ a + p.biases[-1][:, None]
     pass_mask = None
     if cfg.output_clip is not None:
         pass_mask = np.abs(out) <= cfg.output_clip
         out = np.clip(out, -cfg.output_clip, cfg.output_clip)
-    return out, ForwardCache(x, hidden_pre, hidden_post, pass_mask)
+    return out, ForwardCache(x, hidden_post, pass_mask)
 
 
 def backward(p: MlpParams, cache: ForwardCache, grad_out):
@@ -141,9 +140,7 @@ def backward(p: MlpParams, cache: ForwardCache, grad_out):
         grad_b[k] = delta.sum(axis=1)
         if k > 0:
             delta = p.weights[k].T @ delta
-            delta = delta * _activate_grad(
-                cache.hidden_pre[k - 1], cache.hidden_post[k - 1], cfg.activation
-            )
+            delta = delta * _activate_grad(cache.hidden_post[k - 1], cfg.activation)
     return grad_w, grad_b
 
 

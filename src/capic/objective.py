@@ -132,8 +132,3 @@ def pic_loss(b: BatchOutputs, eps: float = DEFAULT_EPS) -> LossReport:
     grad_g = -2.0 * ((1.0 / n) * grad_cfg.T @ b.f_tilde) + (2.0 / n) * b.g_tilde
     return LossReport(loss, kyfan, g_energy, grad_f, grad_g)
 
-
-def pic_loss_grad(b: BatchOutputs, eps: float = DEFAULT_EPS):
-    """Gradients of :func:`pic_loss` with respect to the encoder outputs."""
-    report = pic_loss(b, eps=eps)
-    return report.grad_f, report.grad_g

@@ -48,6 +48,12 @@ class TestLoadCsv:
         np.testing.assert_allclose(ds.x, [[1.5, 2.0, 0.5]])
         assert ds.y_kind == "onehot"
 
+    def test_several_categorical_columns_on_one_side_rejected(self, tmp_path):
+        path = write(tmp_path, "toy.csv", TOY_CSV)
+        schema = {"color": "x-categorical", "grade": "x-categorical", "size": "y-continuous"}
+        with pytest.raises(ContractViolationError, match=r"\['color', 'grade'\]"):
+            load_csv(path, schema)
+
     def test_row_length_mismatch_names_line(self, tmp_path):
         path = write(tmp_path, "bad.csv", "a,b\n1,2\n3\n")
         with pytest.raises(CsvParseError, match="line 3"):

@@ -173,6 +173,12 @@ class TestCli:
         assert main(["oracle", "bsc-spectrum", "--bits", "2"]) == 0
         assert (tmp_path / "envout" / "bsc_spectrum.csv").exists()
 
+    def test_oracle_spectrum_rejects_biased_input(self, tmp_path, capsys):
+        argv = ["oracle", "bsc-spectrum", "--bits", "2", "--p", "0.3", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "--p 0.5" in capsys.readouterr().err
+        assert not (tmp_path / "bsc_spectrum.csv").exists()
+
     def test_oracle_emits_samples(self, tmp_path):
         code = main([
             "oracle", "bsc", "--bits", "3", "--delta", "0.1", "--samples", "20",

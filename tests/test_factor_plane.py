@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from capic.classical import ca_decompose, contingency_from_pmf, contingency_from_samples
-from capic.errors import ContractViolationError, UnsupportedOperationError
+from capic.errors import ContractViolationError, CsvParseError, UnsupportedOperationError
 from capic.factor_plane import (
     FactorPlane,
     export_factor_plane,
@@ -112,9 +112,22 @@ class TestCsvTwin:
     def test_round_trip_with_awkward_labels(self):
         _, decomp = small_decomposition()
         labels = ['with,comma', 'with "quote"', "with\nnewline", "plain"]
-        plane, _ = export_factor_plane(decomp, 0, 1, x_labels=labels)
+        # str.splitlines() breaks at these, the csv module does not
+        breaks = ["form\x0cfeed", "line\u2028separator", "para\u2029graph"]
+        plane, _ = export_factor_plane(decomp, 0, 1, x_labels=labels, y_labels=breaks)
         assert plane_from_csv(plane_to_csv(plane)) == plane
 
+    def test_wrong_field_count_names_line(self):
+        text = plane_to_csv(FactorPlane(0, 1, [("a", 1.0, 2.0)], [("b", 3.0, 4.0)], (0.5, 0.25)))
+        with pytest.raises(CsvParseError, match="line 6") as info:
+            plane_from_csv(text.replace("y,b,3.0,4.0", "y,b,3.0,4.0,5.0"))
+        assert info.value.line == 6
+
+    def test_carriage_return_label_is_a_parse_error(self):
+        # the writer leaves a bare \r unquoted, so the label cannot come back
+        plane = FactorPlane(0, 1, [("a\rb", 1.0, 2.0)], [], (0.5, 0.25))
+        with pytest.raises(CsvParseError, match="line 5"):
+            plane_from_csv(plane_to_csv(plane))
 
     def test_text_bytes(self):
         plane = FactorPlane(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from capic.classical import ca_decompose, contingency_from_pmf
+from capic.errors import ContractViolationError
 from capic.reconstitution import (
     ReconstitutionModel,
     classify,
@@ -18,11 +19,10 @@ def full_support_pmf(rng, rows, cols):
 
 def truncated_model(table, decomp, k):
     xi = {l: i for i, l in enumerate(table.x_labels)}
-    yi = {l: i for i, l in enumerate(table.y_labels)}
     return ReconstitutionModel(
         pic_sqrt=decomp.sigmas[:k],
         f_eval=lambda x: decomp.l_factors[xi[x], :k],
-        g_eval=lambda y: decomp.r_factors[yi[y], :k],
+        g_points=decomp.r_factors[:, :k],
         labels=table.y_labels,
         prior_y=decomp.marginals_y,
     )
@@ -46,7 +46,7 @@ class TestDensityRatio:
         m = ReconstitutionModel(
             pic_sqrt=np.zeros(2),
             f_eval=lambda x: np.array([x, -x], dtype=float),
-            g_eval=lambda y: np.array([y, y], dtype=float),
+            g_points=np.array([[0.0, 0.0], [1.0, 1.0]]),
             labels=(0, 1),
             prior_y=np.array([0.5, 0.5]),
         )
@@ -91,7 +91,7 @@ class TestClassify:
         m = ReconstitutionModel(
             pic_sqrt=np.zeros(1),
             f_eval=lambda x: np.zeros(1),
-            g_eval=lambda y: np.zeros(1),
+            g_points=np.zeros((3, 1)),
             labels=("a", "b", "c"),
             prior_y=np.array([0.2, 0.5, 0.3]),
         )
@@ -103,7 +103,7 @@ class TestClassify:
         m = ReconstitutionModel(
             pic_sqrt=np.zeros(1),
             f_eval=lambda x: np.zeros(1),
-            g_eval=lambda y: np.zeros(1),
+            g_points=np.zeros((2, 1)),
             labels=("a", "b"),
             prior_y=np.array([0.5, 0.5]),
         )
@@ -125,13 +125,35 @@ class TestClassify:
         m = ReconstitutionModel(
             pic_sqrt=np.array([10.0]),
             f_eval=lambda x: np.array([x]),
-            g_eval=lambda y: np.array([-1.0 if y == "neg" else 1.0]),
+            g_points=np.array([[-1.0], [1.0]]),
             labels=("neg", "pos"),
             prior_y=np.array([0.5, 0.5]),
         )
         label, scores = classify(m, 1.0)
         assert label == "pos"
         assert scores[0] == pytest.approx(0.5 * 1e-12)
+
+    def test_scores_are_prior_times_density_ratio(self):
+        rng = np.random.default_rng(79)
+        table = contingency_from_pmf(full_support_pmf(rng, 4, 3))
+        model = from_table(table)
+        for x in table.x_labels:
+            _, scores = classify(model, x)
+            for k, y in enumerate(table.y_labels):
+                assert scores[k] / model.prior_y[k] == pytest.approx(
+                    density_ratio(model, x, y), rel=1e-12
+                )
+
+
+def test_g_points_shape_checked():
+    with pytest.raises(ContractViolationError, match="g_points"):
+        ReconstitutionModel(
+            pic_sqrt=np.ones(2),
+            f_eval=lambda x: np.zeros(2),
+            g_points=np.zeros((2, 3)),
+            labels=("a", "b"),
+            prior_y=np.array([0.5, 0.5]),
+        )
 
 
 def test_prior_from_counts():
