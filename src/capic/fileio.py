@@ -18,11 +18,23 @@ import os
 import tempfile
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def write_text_atomic(path, text: str):
+    """Write ``text`` to ``path`` through a temp file and a rename.
+
+    The file gets the mode a plain ``open(path, "w")`` would give it,
+    ``0o666`` less the umask (``mkstemp`` makes the temp file 0600).
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
+        os.fchmod(fd, 0o666 & ~_umask())
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

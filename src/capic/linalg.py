@@ -20,9 +20,12 @@ from .errors import ContractViolationError, NotPsdError, NumericFailureError
 RANK_TOL = 1e-12
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a 2-D float64 array, rejecting NaN/Inf entries."""
-    m = np.asarray(a, dtype=np.float64)
+def as_matrix(a, name: str = "matrix", dtype=np.float64) -> np.ndarray:
+    """Coerce ``a`` to a 2-D array of ``dtype``, rejecting NaN/Inf entries.
+
+    An array already of ``dtype`` is returned as is, not copied.
+    """
+    m = np.asarray(a, dtype=dtype)
     if m.ndim != 2:
         raise ContractViolationError(f"{name} must be 2-D, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -43,12 +46,14 @@ def _fix_signs(vectors: np.ndarray, companion: np.ndarray | None = None):
     first maximum).  When ``companion`` is given, its rows are negated
     together with the matching column so products are preserved.
     """
-    for j in range(vectors.shape[1]):
-        i = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[i, j] < 0:
-            vectors[:, j] *= -1.0
-            if companion is not None:
-                companion[j, :] *= -1.0
+    if vectors.size == 0:
+        return vectors, companion
+    cols = np.arange(vectors.shape[1])
+    peaks = vectors[np.argmax(np.abs(vectors), axis=0), cols]
+    signs = np.where(peaks < 0, -1.0, 1.0)
+    vectors *= signs
+    if companion is not None:
+        companion *= signs[:, None]
     return vectors, companion
 
 

@@ -3,6 +3,12 @@
 The model bundles everything needed to evaluate principal functions on
 new samples and serializes to a versioned JSON document (net configs
 plus flat parameter arrays, whitening matrices, estimated diagonal).
+
+Precision: the nets are trained in float32 (see :mod:`capic.neural`)
+and handed over as float64 copies of the float32 values.  Everything
+from there on runs in float64: the whitening fit, the principal
+functions, evaluation and the weights written to ``model.json``, which
+``repr`` keeps exact, so a save/load round trip is exact.
 """
 
 from __future__ import annotations

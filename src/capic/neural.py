@@ -4,11 +4,21 @@ Two small MLPs (one per variable) are trained jointly under the loss in
 :mod:`capic.objective`.  Everything is deterministic given the seeds in
 the configs: initialization, batch order, and therefore the whole
 training history.
+
+Precision: :func:`train_ca_nn` trains in float32.  It casts both nets
+and the training split to float32 once, and the encoder passes of each
+step write their activations, deltas and gradients into
+:class:`StepBuffers` reused from step to step instead of allocating
+them.  The loss stays float64: :class:`~capic.objective.BatchOutputs`
+upcasts the d x n outputs, so covariances and eigendecompositions run
+in float64.  The trained weights come back as float64 copies;
+whitening, evaluation and the saved model run in float64 on those.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -49,15 +59,64 @@ class MlpConfig:
         return self.layer_widths[-1]
 
 
+def _param_shapes(cfg: MlpConfig) -> list:
+    """Shapes of the weights, then of the biases, layer by layer."""
+    pairs = list(zip(cfg.layer_widths[:-1], cfg.layer_widths[1:]))
+    return [(fan_out, fan_in) for fan_in, fan_out in pairs] + [(fan_out,) for _, fan_out in pairs]
+
+
+def _param_views(flat: np.ndarray, cfg: MlpConfig):
+    """``(weights, biases)``: lists of views into a flat parameter-sized vector."""
+    views = []
+    start = 0
+    for shape in _param_shapes(cfg):
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    layers = len(cfg.layer_widths) - 1
+    return views[:layers], views[layers:]
+
+
 @dataclass
 class MlpParams:
+    """The parameters of one net, stored in one flat vector.
+
+    ``weights[k]`` (shape ``(out, in)``) and ``biases[k]`` (shape
+    ``(out,)``) are views into ``flat``, so updating ``flat`` in place
+    updates every layer.  The constructor copies the given arrays into
+    ``flat``, which is float32 when they all fit in it and float64
+    otherwise.
+    """
+
     config: MlpConfig
-    weights: list  # per layer, shape (out, in)
-    biases: list   # per layer, shape (out,)
+    weights: list
+    biases: list
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        arrays = [np.asarray(a) for a in (*self.weights, *self.biases)]
+        expected = _param_shapes(self.config)
+        if [a.shape for a in arrays] != expected:
+            raise ContractViolationError(
+                f"parameter shapes {[a.shape for a in arrays]} do not match "
+                f"the config's {expected}"
+            )
+        self.flat = np.concatenate(
+            [a.ravel() for a in arrays], dtype=np.result_type(np.float32, *arrays)
+        )
+        self.weights, self.biases = _param_views(self.flat, self.config)
+
+    def astype(self, dtype) -> MlpParams:
+        """A copy of the parameters in ``dtype``."""
+        return MlpParams(
+            self.config,
+            [w.astype(dtype) for w in self.weights],
+            [b.astype(dtype) for b in self.biases],
+        )
 
 
 def mlp_init(cfg: MlpConfig) -> MlpParams:
-    """Seeded fan-in-scaled uniform weights, zero biases."""
+    """Seeded fan-in-scaled uniform weights, zero biases (float64)."""
     rng = np.random.default_rng(cfg.init_seed)
     weights = []
     biases = []
@@ -68,80 +127,144 @@ def mlp_init(cfg: MlpConfig) -> MlpParams:
     return MlpParams(cfg, weights, biases)
 
 
+class StepBuffers:
+    """Work arrays of one net at one batch width, in the params' dtype.
+
+    :func:`forward` writes the hidden activations, the output and the
+    clip mask here.  The first :func:`backward` pass adds what it
+    writes (see :meth:`for_backward`), so a forward-only pass allocates
+    just its activations.  ``batch`` holds an input mini-batch gathered
+    by the training loop.  Each pass through the same buffers
+    overwrites the previous one's results.
+    """
+
+    def __init__(self, p: MlpParams, n: int):
+        cfg = p.config
+        dtype = p.flat.dtype
+        self.batch = np.empty((cfg.in_width, n), dtype)
+        self.hidden = [np.empty((w, n), dtype) for w in cfg.layer_widths[1:-1]]
+        self.out = np.empty((cfg.out_width, n), dtype)
+        self.pass_mask = None if cfg.output_clip is None else np.empty((cfg.out_width, n), bool)
+        self.grad = None
+
+    def for_backward(self, p: MlpParams) -> StepBuffers:
+        """Make the backward arrays on first use; returns ``self``.
+
+        ``deltas[k]`` is the gradient at layer k's output, ``act_grad``
+        holds the activation derivatives (relu: a bool mask), ``grad`` is
+        laid out like :attr:`MlpParams.flat` with ``grad_w``/``grad_b``
+        views into it.
+        """
+        if self.grad is None:
+            cfg = p.config
+            n = self.out.shape[1]
+            dtype = self.out.dtype
+            act_dtype = bool if cfg.activation == "relu" else dtype
+            self.deltas = [np.empty((w, n), dtype) for w in cfg.layer_widths[1:]]
+            self.act_grad = [np.empty((w, n), act_dtype) for w in cfg.layer_widths[1:-1]]
+            self.ones = np.ones(n, dtype)
+            self.grad = np.empty_like(p.flat)
+            self.grad_w, self.grad_b = _param_views(self.grad, cfg)
+        return self
+
+
 class ForwardCache(NamedTuple):
-    """What :func:`backward` reads; activation derivatives come from the outputs."""
+    """What :func:`backward` reads: the input batch and the filled buffers.
+
+    Activation derivatives come from the activated outputs in
+    ``buffers.hidden``.
+    """
 
     x: np.ndarray
-    hidden_post: list    # activated hidden outputs
-    pass_mask: np.ndarray | None  # False where output clipping saturated
+    buffers: StepBuffers
 
 
 def _activate(z, kind):
+    """Apply the activation to ``z`` in place."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "tanh":
-        return np.tanh(z)
-    return z
+        np.maximum(z, 0.0, out=z)
+    elif kind == "tanh":
+        np.tanh(z, out=z)
 
 
-def _activate_grad(post, kind):
-    """Activation derivative in terms of the activated output."""
+def _backprop_activation(delta, post, kind, work):
+    """Multiply ``delta`` in place by the activation derivative at ``post``.
+
+    The derivative is read off the activated output ``post``, with
+    ``work`` to hold it: for relu the bool mask ``post > 0``
+    (``max(z, 0) > 0`` exactly when ``z > 0``).
+    """
     if kind == "relu":
-        return post > 0  # max(z, 0) > 0 exactly when z > 0
-    if kind == "tanh":
-        return 1.0 - post ** 2
-    return 1.0
+        delta *= np.greater(post, 0, out=work)
+    elif kind == "tanh":
+        np.square(post, out=work)
+        np.subtract(1.0, work, out=work)
+        delta *= work
 
 
-def forward(p: MlpParams, x_batch):
+def forward(p: MlpParams, x_batch, buffers: StepBuffers | None = None):
     """Evaluate the net on a batch (columns are samples).
 
     Returns the d x n output and the cache consumed by
-    :func:`backward`.  When ``output_clip`` is configured the output is
+    :func:`backward`.  The batch is taken in the params' dtype, and
+    activations and output are written into ``buffers`` (fresh ones
+    when None), so the output is overwritten by the next pass through
+    the same buffers.  When ``output_clip`` is configured the output is
     hard-clipped elementwise and the saturated coordinates are recorded
     so they receive zero gradient.
     """
-    x = as_matrix(x_batch, "x_batch")
+    x = as_matrix(x_batch, "x_batch", dtype=p.flat.dtype)
     cfg = p.config
     if x.shape[0] != cfg.in_width:
         raise ContractViolationError(
             f"input width {x.shape[0]} does not match config width {cfg.in_width}"
         )
-    hidden_post = []
+    bufs = StepBuffers(p, x.shape[1]) if buffers is None else buffers
+    if bufs.out.shape[1] != x.shape[1]:
+        raise ContractViolationError(
+            f"buffers hold {bufs.out.shape[1]} samples, the batch has {x.shape[1]}"
+        )
     a = x
-    for w, b in zip(p.weights[:-1], p.biases[:-1]):
-        a = _activate(w @ a + b[:, None], cfg.activation)
-        hidden_post.append(a)
-    out = p.weights[-1] @ a + p.biases[-1][:, None]
-    pass_mask = None
+    for w, b, h in zip(p.weights[:-1], p.biases[:-1], bufs.hidden):
+        np.matmul(w, a, out=h)
+        h += b[:, None]
+        _activate(h, cfg.activation)
+        a = h
+    out = np.matmul(p.weights[-1], a, out=bufs.out)
+    out += p.biases[-1][:, None]
     if cfg.output_clip is not None:
-        pass_mask = np.abs(out) <= cfg.output_clip
-        out = np.clip(out, -cfg.output_clip, cfg.output_clip)
-    return out, ForwardCache(x, hidden_post, pass_mask)
+        np.less_equal(np.abs(out), cfg.output_clip, out=bufs.pass_mask)
+        np.clip(out, -cfg.output_clip, cfg.output_clip, out=out)
+    return out, ForwardCache(x, bufs)
 
 
 def backward(p: MlpParams, cache: ForwardCache, grad_out):
-    """Exact reverse-mode parameter gradients for a cached forward pass."""
-    grad_out = as_matrix(grad_out, "grad_out")
+    """Exact reverse-mode parameter gradients for a cached forward pass.
+
+    ``grad_out`` is cast to the params' dtype.  Returns ``(grad_w,
+    grad_b)``, views into ``cache.buffers.grad``.
+    """
     cfg = p.config
-    if grad_out.shape != (cfg.out_width, cache.x.shape[1]):
+    bufs = cache.buffers.for_backward(p)
+    delta = bufs.deltas[-1]
+    grad_out = np.asarray(grad_out)
+    if grad_out.shape != delta.shape:
         raise ContractViolationError(
-            f"grad_out shape {grad_out.shape} does not match output "
-            f"({cfg.out_width}, {cache.x.shape[1]})"
+            f"grad_out shape {grad_out.shape} does not match output {delta.shape}"
         )
-    if cache.pass_mask is not None:
-        grad_out = grad_out * cache.pass_mask
-    grad_w = [None] * len(p.weights)
-    grad_b = [None] * len(p.biases)
-    delta = grad_out
+    np.copyto(delta, grad_out)
+    as_matrix(delta, "grad_out", dtype=delta.dtype)
+    if bufs.pass_mask is not None:
+        delta *= bufs.pass_mask
     for k in range(len(p.weights) - 1, -1, -1):
-        below = cache.hidden_post[k - 1] if k > 0 else cache.x
-        grad_w[k] = delta @ below.T
-        grad_b[k] = delta.sum(axis=1)
+        below = bufs.hidden[k - 1] if k > 0 else cache.x
+        np.matmul(delta, below.T, out=bufs.grad_w[k])
+        # a product, like the weight gradient: faster than a float32 row sum
+        np.matmul(delta, bufs.ones, out=bufs.grad_b[k])
         if k > 0:
-            delta = p.weights[k].T @ delta
-            delta = delta * _activate_grad(cache.hidden_post[k - 1], cfg.activation)
-    return grad_w, grad_b
+            delta = np.matmul(p.weights[k].T, delta, out=bufs.deltas[k - 1])
+            _backprop_activation(delta, bufs.hidden[k - 1], cfg.activation, bufs.act_grad[k - 1])
+    return bufs.grad_w, bufs.grad_b
 
 
 @dataclass
@@ -231,8 +354,12 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
     each epoch from ``t_cfg.seed`` and trailing batches smaller than the
     output width are dropped (the loss needs n >= d per batch).
 
+    Training runs in float32 (see the module docstring); the returned
+    params are float64 copies of the trained float32 values.
+
     Raises :class:`TrainingDivergedError` with the offending epoch index
-    as soon as the loss stops being finite.
+    as soon as the encoder outputs, the loss or the gradients stop being
+    finite.
     """
     x, y = data.train_arrays()
     n = x.shape[1]
@@ -245,14 +372,20 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
     if f_cfg.in_width != x.shape[0] or g_cfg.in_width != y.shape[0]:
         raise ContractViolationError("encoder input widths do not match the dataset")
     d = f_cfg.out_width
-    f_params = mlp_init(f_cfg)
-    g_params = mlp_init(g_cfg)
+    f = mlp_init(f_cfg).astype(np.float32)
+    g = mlp_init(g_cfg).astype(np.float32)
+    with np.errstate(over="ignore"):
+        x = np.ascontiguousarray(x, dtype=np.float32)
+        y = np.ascontiguousarray(y, dtype=np.float32)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ContractViolationError("training data exceeds the float32 range")
+    f_pool, g_pool = {}, {}  # batch width -> StepBuffers
     opt = _make_optimizer(t_cfg)
     rng = np.random.default_rng(t_cfg.seed)
     history = []
     for epoch in range(t_cfg.epochs):
         if t_cfg.batch_size == "full":
-            batches = [np.arange(n)]
+            batches = [None]
         else:
             order = rng.permutation(n)
             size = int(t_cfg.batch_size)
@@ -260,31 +393,38 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
             batches = [b for b in batches if b.size >= d]
         sums = np.zeros(3)
         for idx in batches:
-            f_out, f_cache = forward(f_params, x[:, idx])
-            g_out, g_cache = forward(g_params, y[:, idx])
-            if not (np.all(np.isfinite(f_out)) and np.all(np.isfinite(g_out))):
-                raise TrainingDivergedError(
-                    f"non-finite encoder outputs at epoch {epoch}", epoch=epoch
-                )
-            try:
-                with np.errstate(over="ignore"):
+            width = n if idx is None else idx.size
+            if width not in f_pool:
+                f_pool[width] = StepBuffers(f, width)
+                g_pool[width] = StepBuffers(g, width)
+            f_bufs, g_bufs = f_pool[width], g_pool[width]
+            x_batch = x if idx is None else np.take(x, idx, axis=1, out=f_bufs.batch)
+            y_batch = y if idx is None else np.take(y, idx, axis=1, out=g_bufs.batch)
+            # float32 overflows sooner; the checks below turn it into divergence
+            with np.errstate(over="ignore"):
+                f_out, f_cache = forward(f, x_batch, f_bufs)
+                g_out, g_cache = forward(g, y_batch, g_bufs)
+                if not (np.all(np.isfinite(f_out)) and np.all(np.isfinite(g_out))):
+                    raise TrainingDivergedError(
+                        f"non-finite encoder outputs at epoch {epoch}", epoch=epoch
+                    )
+                try:
                     report = pic_loss(BatchOutputs(f_out, g_out), eps=t_cfg.loss_eps)
-            except ContractViolationError as exc:
-                # finite outputs whose covariances overflow are divergence too
-                raise TrainingDivergedError(
-                    f"loss computation failed at epoch {epoch}: {exc}", epoch=epoch
-                ) from exc
-            if not np.isfinite(report.loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}", epoch=epoch
-                )
-            gw_f, gb_f = backward(f_params, f_cache, report.grad_f)
-            gw_g, gb_g = backward(g_params, g_cache, report.grad_g)
-            opt.step(
-                f_params.weights + f_params.biases + g_params.weights + g_params.biases,
-                gw_f + gb_f + gw_g + gb_g,
-            )
+                    if not np.isfinite(report.loss):
+                        raise TrainingDivergedError(
+                            f"non-finite loss at epoch {epoch}", epoch=epoch
+                        )
+                    backward(f, f_cache, report.grad_f)
+                    backward(g, g_cache, report.grad_g)
+                except ContractViolationError as exc:
+                    # finite outputs whose covariances or gradients overflow
+                    # are divergence too
+                    raise TrainingDivergedError(
+                        f"loss or gradient computation failed at epoch {epoch}: {exc}",
+                        epoch=epoch,
+                    ) from exc
+                opt.step((f.flat, g.flat), (f_bufs.grad, g_bufs.grad))
             sums += (report.loss, report.kyfan_term, report.g_energy)
         k = len(batches)
         history.append(EpochRecord(sums[0] / k, sums[1] / k, sums[2] / k))
-    return f_params, g_params, history
+    return f.astype(np.float64), g.astype(np.float64), history

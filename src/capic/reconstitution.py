@@ -58,6 +58,8 @@ def _ratios(m: ReconstitutionModel, x) -> np.ndarray:
 
 def density_ratio(m: ReconstitutionModel, x, y) -> float:
     """Reconstituted ``p(x,y) / (p_x p_y)``; may be negative when truncated."""
+    if y not in m.labels:
+        raise ContractViolationError(f"unknown y label {y!r}")
     return float(_ratios(m, x)[m.labels.index(y)])
 
 
@@ -77,9 +79,15 @@ def from_table(table: ContingencyTable, decomp: CaDecomposition | None = None):
         decomp = ca_decompose(table)
     x_index = {l: i for i, l in enumerate(table.x_labels)}
     l_factors = decomp.l_factors
+
+    def f_eval(x):
+        if x not in x_index:
+            raise ContractViolationError(f"unknown x label {x!r}")
+        return l_factors[x_index[x]]
+
     return ReconstitutionModel(
         pic_sqrt=decomp.sigmas,
-        f_eval=lambda x: l_factors[x_index[x]],
+        f_eval=f_eval,
         g_points=decomp.r_factors,
         labels=table.y_labels,
         prior_y=decomp.marginals_y,

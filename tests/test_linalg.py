@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from capic.errors import ContractViolationError, NotPsdError
-from capic.linalg import as_matrix, eig_sym, inv_sqrt_psd, psd_power, svd
+from capic.linalg import _fix_signs, as_matrix, eig_sym, inv_sqrt_psd, psd_power, svd
 
 
 class TestSvd:
@@ -60,6 +60,44 @@ class TestSvd:
     def test_rejects_nonfinite(self):
         with pytest.raises(ContractViolationError):
             svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def fix_signs_loop(vectors, companion=None):
+    """Column-by-column reference for ``_fix_signs``."""
+    for j in range(vectors.shape[1]):
+        i = int(np.argmax(np.abs(vectors[:, j])))
+        if vectors[i, j] < 0:
+            vectors[:, j] *= -1.0
+            if companion is not None:
+                companion[j, :] *= -1.0
+    return vectors, companion
+
+
+class TestFixSigns:
+    def test_ties_go_to_the_lowest_index(self):
+        # each column's magnitude peak is tied between rows 0 and 2
+        v = np.array([[-0.5, 0.5, -0.5], [0.1, 0.2, 0.0], [0.5, -0.5, -0.5]])
+        out, _ = _fix_signs(v.copy())
+        np.testing.assert_array_equal(
+            out, [[0.5, 0.5, 0.5], [-0.1, 0.2, -0.0], [-0.5, -0.5, 0.5]]
+        )
+        ref, _ = fix_signs_loop(v.copy())
+        assert out.tobytes() == ref.tobytes()
+
+    def test_companion_rows_negated_with_their_columns(self):
+        rng = np.random.default_rng(29)
+        u = rng.normal(size=(7, 4))
+        u[:, 2] = -np.abs(u[:, 2])  # this column must flip
+        vt = rng.normal(size=(4, 6))
+        out_u, out_vt = _fix_signs(u.copy(), vt.copy())
+        flipped = np.any(out_u != u, axis=0)
+        assert flipped[2]
+        np.testing.assert_array_equal(out_vt[flipped], -vt[flipped])
+        np.testing.assert_array_equal(out_vt[~flipped], vt[~flipped])
+        np.testing.assert_allclose(out_u @ out_vt, u @ vt, atol=1e-12)
+        ref_u, ref_vt = fix_signs_loop(u.copy(), vt.copy())
+        assert out_u.tobytes() == ref_u.tobytes()
+        assert out_vt.tobytes() == ref_vt.tobytes()
 
 
 class TestEigSym:

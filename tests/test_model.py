@@ -50,6 +50,15 @@ class TestSerialization:
         np.testing.assert_array_equal(model.pic_diagonal, loaded.pic_diagonal)
         assert loaded.f_params.config.layer_widths == (2, 8, 2)
 
+    def test_disk_round_trip_keeps_weights_exact(self, tiny_model, tmp_path):
+        _, model, _ = tiny_model
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        for saved, back in ((model.f_params, loaded.f_params), (model.g_params, loaded.g_params)):
+            assert back.flat.dtype == np.float64
+            assert back.flat.tobytes() == saved.flat.tobytes()
+
     def test_doc_round_trip_exact(self, tiny_model):
         _, model, _ = tiny_model
         doc = model_to_doc(model)

@@ -1,10 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import capic.neural as neural
 from capic.datasets import PairedDataset
 from capic.errors import ContractViolationError, TrainingDivergedError
+from capic.experiment import build_dataset, evaluate_model
+from capic.model import fit_ca_nn_model
 from capic.neural import (
     MlpConfig,
+    MlpParams,
     TrainConfig,
     backward,
     evaluate_loss,
@@ -68,6 +74,19 @@ class TestInitAndShapes:
         with pytest.raises(ContractViolationError):
             MlpConfig((4, 8, 3), activation="gelu")
 
+    def test_weights_and_biases_are_views_of_flat(self):
+        p = mlp_init(MlpConfig((3, 4, 2), init_seed=1))
+        arrays = p.weights + p.biases
+        assert sum(a.size for a in arrays) == p.flat.size
+        assert all(np.shares_memory(a, p.flat) for a in arrays)
+        p.flat[:] = 7.0
+        assert all(np.all(a == 7.0) for a in arrays)
+
+    def test_param_shapes_must_match_config(self):
+        p = mlp_init(MlpConfig((3, 4, 2)))
+        with pytest.raises(ContractViolationError):
+            MlpParams(MlpConfig((3, 5, 2)), p.weights, p.biases)
+
 
 class TestForward:
     def test_zero_params_zero_output(self):
@@ -128,7 +147,7 @@ class TestBackward:
         x = np.random.default_rng(7).normal(size=(2, 5))
         out, cache = forward(p, x)
         gw, gb = backward(p, cache, np.ones_like(out))
-        np.testing.assert_allclose(gw[1], cache.hidden_post[0].sum(axis=1)[None, :], atol=1e-12)
+        np.testing.assert_allclose(gw[1], cache.buffers.hidden[0].sum(axis=1)[None, :], atol=1e-12)
         np.testing.assert_allclose(gb[1], [5.0], atol=1e-12)
         np.testing.assert_allclose(
             gw[0], p.weights[1].T @ np.ones((1, 5)) @ x.T, atol=1e-12
@@ -233,6 +252,49 @@ class TestTraining:
             train_ca_nn(data, f_cfg, g_cfg, t_cfg)
         assert err.value.epoch >= 0
 
+    def test_divergence_raises_without_overflow_warning(self):
+        # the setup of test_divergence_raises_with_epoch
+        data = scalar_dataset(64, seed=500)
+        f_cfg = MlpConfig((1, 8, 1), init_seed=13)
+        g_cfg = MlpConfig((1, 8, 1), init_seed=14)
+        t_cfg = TrainConfig(epochs=200, optimizer="gd", lr=1e9, seed=15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDivergedError):
+                train_ca_nn(data, f_cfg, g_cfg, t_cfg)
+
+    def test_forward_and_backward_called_twice_per_step(self, monkeypatch):
+        # The benchmark tracer counts neural.gflop from these calls: the
+        # params and the batch (forward) or a cache with .x (backward).
+        seen = {"forward": [], "backward": []}
+        real_forward, real_backward = neural.forward, neural.backward
+
+        def counting_forward(*args, **kwargs):
+            assert isinstance(args[0], MlpParams)
+            seen["forward"].append(args[1].shape[1])
+            return real_forward(*args, **kwargs)
+
+        def counting_backward(*args, **kwargs):
+            assert isinstance(args[0], MlpParams)
+            seen["backward"].append(args[1].x.shape[1])
+            return real_backward(*args, **kwargs)
+
+        monkeypatch.setattr(neural, "forward", counting_forward)
+        monkeypatch.setattr(neural, "backward", counting_backward)
+        data = scalar_dataset(100, seed=800)
+        t_cfg = TrainConfig(epochs=3, batch_size=32, optimizer="adam", lr=0.01, seed=1)
+        train_ca_nn(data, MlpConfig((1, 4, 1), init_seed=2), MlpConfig((1, 4, 1), init_seed=3),
+                    t_cfg)
+        per_epoch = [32, 32, 32, 32, 32, 32, 4, 4]  # 3 batches of 32, then one of 4
+        assert seen["forward"] == per_epoch * 3
+        assert seen["backward"] == per_epoch * 3
+
+    def test_data_beyond_float32_range_rejected(self):
+        data = scalar_dataset(64, seed=900)
+        data.x[0, 0] = 1e39
+        with pytest.raises(ContractViolationError, match="float32"):
+            train_ca_nn(data, MlpConfig((1, 4, 1)), MlpConfig((1, 4, 1)), TrainConfig(epochs=1))
+
     def test_output_width_mismatch_rejected(self):
         data = scalar_dataset(64, seed=600)
         with pytest.raises(ContractViolationError):
@@ -242,3 +304,31 @@ class TestTraining:
                 MlpConfig((1, 8, 3)),
                 TrainConfig(epochs=1),
             )
+
+
+class TestPrecisionContract:
+    def test_trained_params_are_float64_holding_float32_values(self):
+        data = scalar_dataset(128, seed=700)
+        f_cfg = MlpConfig((1, 8, 1), activation="tanh", init_seed=1)
+        g_cfg = MlpConfig((1, 8, 1), activation="tanh", init_seed=2)
+        t_cfg = TrainConfig(epochs=10, optimizer="adam", lr=0.01, seed=3)
+        f_p, g_p, _ = train_ca_nn(data, f_cfg, g_cfg, t_cfg)
+        for p in (f_p, g_p):
+            assert p.flat.dtype == np.float64
+            assert all(a.dtype == np.float64 for a in p.weights + p.biases)
+            assert np.array_equal(p.flat.astype(np.float32).astype(np.float64), p.flat)
+            assert not np.array_equal(p.flat, mlp_init(p.config).flat)
+
+    def test_bsc2_held_out_diagonal_near_oracle(self):
+        # BSC-2 at delta 0.1: both principal correlations are 1 - 2*delta.
+        # 0.06 is about two standard errors at 1000 held-out samples.
+        data = build_dataset({"source": "bsc", "n_bits": 2, "delta": 0.1,
+                              "n_samples": 3000, "n_test": 1000, "seed": 0})
+        model, _ = fit_ca_nn_model(
+            data,
+            MlpConfig((2, 16, 2), init_seed=1),
+            MlpConfig((2, 16, 2), init_seed=2),
+            TrainConfig(epochs=150, optimizer="gd", lr=0.05, seed=3),
+        )
+        _, test_pf = evaluate_model(model, data)
+        np.testing.assert_allclose(test_pf.raw_diagonal, 0.8, atol=0.06)

@@ -159,3 +159,20 @@ def test_g_points_shape_checked():
 def test_prior_from_counts():
     prior = prior_from_counts(["a", "b", "b", "b"], labels=("a", "b"))
     np.testing.assert_allclose(prior, [0.25, 0.75])
+
+
+class TestUnknownLabels:
+    def model(self):
+        table = contingency_from_pmf(np.array([[0.3, 0.2], [0.1, 0.4]]), ("a", "b"), ("u", "v"))
+        return from_table(table)
+
+    def test_unknown_y_label_names_it(self):
+        with pytest.raises(ContractViolationError, match="'nope'"):
+            density_ratio(self.model(), "a", "nope")
+
+    def test_unknown_x_label_names_it(self):
+        m = self.model()
+        with pytest.raises(ContractViolationError, match="'nope'"):
+            density_ratio(m, "nope", "u")
+        with pytest.raises(ContractViolationError, match="'nope'"):
+            classify(m, "nope")
