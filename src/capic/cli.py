@@ -19,13 +19,11 @@ from .datasets import apply_standardization
 from .errors import CaError, ContractViolationError
 from .experiment import (
     build_dataset,
-    category_g_points,
-    evaluate_model,
     load_config,
-    resolve_config,
     resolve_output_dir,
     run_eval,
     run_experiment,
+    run_plane,
 )
 from .fileio import csv_text, write_text_atomic
 from .model import load_model
@@ -64,21 +62,7 @@ def _cmd_eval(args):
 
 
 def _cmd_plane(args):
-    cfg = resolve_config(load_config(args.config), seed=args.seed, out_dir=args.out)
-    model = load_model(args.model)
-    data = build_dataset(cfg["dataset"])
-    train_pf, _ = evaluate_model(model, data)
-    y_cat = data.y_kind == "onehot"
-    y_labels = list(data.y_labels) if y_cat else None
-    plane, svg = fp.export_factor_plane(
-        train_pf, args.i, args.j,
-        y_points=category_g_points(model, y_labels) if y_cat else None,
-        y_labels=y_labels,
-    )
-    out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(out / f"plane_{args.i}_{args.j}.svg", svg)
-    write_text_atomic(out / f"plane_{args.i}_{args.j}.csv", fp.plane_to_csv(plane))
+    out = run_plane(args.model, args.config, args.i, args.j, seed=args.seed, out_dir=args.out)
     print(f"plane written to {out}")
     return 0
 

@@ -95,6 +95,33 @@ def resolve_config(config, seed=None, out_dir=None) -> dict:
     return cfg
 
 
+def _prepare(config, seed, out_dir):
+    """Load ``config`` (a path or a dict), resolve it and make its output directory."""
+    if not isinstance(config, dict):
+        config = load_config(config)
+    cfg = resolve_config(config, seed=seed, out_dir=out_dir)
+    out = Path(cfg["output_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    return cfg, out
+
+
+def _read(block, where, kinds, required=()):
+    """Convert each key of ``kinds`` that a config block sets or that is ``required``.
+
+    A missing or unconvertible value raises :class:`ContractViolationError`
+    naming ``where`` + key; keys that ``kinds`` does not name are ignored.
+    """
+    values = {}
+    for key in (k for k in kinds if k in block or k in required):
+        try:
+            values[key] = kinds[key](block[key])
+        except KeyError:
+            raise ContractViolationError(f"config is missing {where}{key}") from None
+        except (TypeError, ValueError) as exc:
+            raise ContractViolationError(f"config {where}{key} = {block[key]!r}: {exc}") from None
+    return values
+
+
 def config_hash(cfg: dict) -> str:
     """Hash of a resolved config, ignoring where the artifacts land."""
     return sha256_of_json({k: v for k, v in cfg.items() if k != "output_dir"})
@@ -136,8 +163,8 @@ def build_dataset(dcfg: dict) -> PairedDataset:
         )
     if source not in _SAMPLERS:
         raise ContractViolationError(f"unknown dataset source {source!r}")
-    n_train = int(dcfg["n_samples"])
-    n_test = int(dcfg.get("n_test", 0))
+    sizes = _read(dcfg, "dataset.", {"n_samples": int, "n_test": int}, required=("n_samples",))
+    n_train, n_test = sizes["n_samples"], sizes.get("n_test", 0)
     n = n_train + n_test
     ds = _SAMPLERS[source](dcfg, n, int(dcfg.get("seed", 0)))
     if n_test > 0:
@@ -166,57 +193,52 @@ def read_pmf_csv(path):
     return np.asarray(table), tuple(x_labels), tuple(y_labels)
 
 
-def _mlp_config(net_cfg: dict, in_width: int, d: int) -> MlpConfig:
-    hidden = [int(h) for h in net_cfg.get("hidden", [32, 32])]
-    return MlpConfig(
-        layer_widths=tuple([in_width] + hidden + [d]),
-        activation=net_cfg.get("activation", "relu"),
-        init_seed=int(net_cfg.get("seed", 0)),
-        output_clip=net_cfg.get("output_clip"),
-    )
+#: Readers of the keys of an ``f_net``/``g_net`` and of the ``train`` block.
+#: MlpConfig and TrainConfig hold the defaults of the keys a block leaves out.
+_NET_KEYS = {"hidden": lambda h: [int(w) for w in h], "activation": str, "seed": int,
+             "output_clip": lambda c: c}
+_TRAIN_KEYS = {"epochs": int, "batch_size": lambda b: b if b == "full" else int(b),
+               "optimizer": str, "lr": float, "beta1": float, "beta2": float,
+               "adam_eps": float, "loss_eps": float, "seed": int}
+
+
+def _mlp_config(net_cfg: dict, where: str, in_width: int, d: int) -> MlpConfig:
+    values = _read(net_cfg, where, _NET_KEYS)
+    hidden = values.pop("hidden", [32, 32])
+    if "seed" in values:
+        values["init_seed"] = values.pop("seed")
+    return MlpConfig(layer_widths=(in_width, *hidden, d), **values)
 
 
 def _train_config(tcfg: dict) -> TrainConfig:
-    batch = tcfg.get("batch_size", "full")
-    return TrainConfig(
-        epochs=int(tcfg["epochs"]),
-        batch_size=batch if batch == "full" else int(batch),
-        optimizer=tcfg.get("optimizer", "gd"),
-        lr=float(tcfg.get("lr", 0.01)),
-        beta1=float(tcfg.get("beta1", 0.9)),
-        beta2=float(tcfg.get("beta2", 0.999)),
-        adam_eps=float(tcfg.get("adam_eps", 1e-8)),
-        loss_eps=float(tcfg.get("loss_eps", 1e-3)),
-        seed=int(tcfg.get("seed", 0)),
-    )
-
-
-def category_g_points(model: CaNnModel, labels):
-    """Per-category principal-function values of a one-hot y encoder."""
-    k = len(labels)
-    eye = np.eye(k)
-    return model.principal_g(eye)
+    return TrainConfig(**_read(tcfg, "train.", _TRAIN_KEYS, required=("epochs",)))
 
 
 def evaluate_model(model: CaNnModel, data: PairedDataset):
     """Apply the stored whitening to train and (if present) test splits."""
-    x_tr, y_tr = data.train_arrays()
 
-    def raw(params, mat):
-        out, _ = forward(params, mat)
-        return out
-
-    train_pf = apply_whitening(
-        model.transform, raw(model.f_params, x_tr), raw(model.g_params, y_tr)
-    )
-    test_pf = None
-    test = data.test_arrays()
-    if test is not None:
-        x_te, y_te = test
-        test_pf = apply_whitening(
-            model.transform, raw(model.f_params, x_te), raw(model.g_params, y_te)
+    def principal(x, y):
+        return apply_whitening(
+            model.transform, forward(model.f_params, x)[0], forward(model.g_params, y)[0]
         )
-    return train_pf, test_pf
+
+    test = data.test_arrays()
+    return principal(*data.train_arrays()), None if test is None else principal(*test)
+
+
+def _category_points(model: CaNnModel, data: PairedDataset):
+    """A plane's y points and labels: one per category of a one-hot y, else ``None``s."""
+    if data.y_kind != "onehot":
+        return None, None
+    return model.principal_g(np.eye(len(data.y_labels))), list(data.y_labels)
+
+
+def _write_planes(out, source, planes, **export_kw):
+    """Export each ``(i, j)`` of ``planes`` and write ``plane_{i}_{j}.svg`` and ``.csv``."""
+    for i, j in planes:
+        plane, svg = fp.export_factor_plane(source, i, j, **export_kw)
+        write_text_atomic(out / f"plane_{i}_{j}.svg", svg)
+        write_text_atomic(out / f"plane_{i}_{j}.csv", fp.plane_to_csv(plane))
 
 
 def _write_factor_table(path, first, letter, labels, points):
@@ -245,12 +267,8 @@ def run_experiment(config, seed=None, out_dir=None) -> Path:
     directory.  Raises a :class:`capic.errors.CaError` subclass on any
     failure; the CLI converts those into a nonzero exit code.
     """
-    if not isinstance(config, dict):
-        config = load_config(config)
-    cfg = resolve_config(config, seed=seed, out_dir=out_dir)
+    cfg, out = _prepare(config, seed, out_dir)
     cfg_hash = config_hash(cfg)
-    out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     resolved = dict(cfg)
     resolved["config_hash"] = cfg_hash
     write_json_atomic(out / "config_resolved.json", resolved)
@@ -287,12 +305,9 @@ def _run_svd(cfg, out, cfg_hash):
     write_text_atomic(
         out / "scores.csv", csv_text(["component", "sigma", "lambda", "score_ratio"], rows)
     )
-    for i, j in cfg.get("planes", []):
-        plane, svg = fp.export_factor_plane(
-            decomp, i, j, x_labels=table.x_labels, y_labels=table.y_labels
-        )
-        write_text_atomic(out / f"plane_{i}_{j}.svg", svg)
-        write_text_atomic(out / f"plane_{i}_{j}.csv", fp.plane_to_csv(plane))
+    _write_planes(
+        out, decomp, cfg.get("planes", []), x_labels=table.x_labels, y_labels=table.y_labels
+    )
 
 
 def _diag_doc(pf):
@@ -301,9 +316,9 @@ def _diag_doc(pf):
 
 def _run_train(cfg, out, cfg_hash):
     data = build_dataset(cfg["dataset"])
-    d = int(cfg["d"])
-    f_cfg = _mlp_config(cfg.get("f_net", {}), data.x.shape[0], d)
-    g_cfg = _mlp_config(cfg.get("g_net", {}), data.y.shape[0], d)
+    d = _read(cfg, "", {"d": int}, required=("d",))["d"]
+    f_cfg = _mlp_config(cfg.get("f_net", {}), "f_net.", data.x.shape[0], d)
+    g_cfg = _mlp_config(cfg.get("g_net", {}), "g_net.", data.y.shape[0], d)
     t_cfg = _train_config(cfg.get("train", {}))
 
     x_tr, y_tr = data.train_arrays()
@@ -330,33 +345,24 @@ def _run_train(cfg, out, cfg_hash):
         out / "loss_history.csv", csv_text(["epoch", "loss", "kyfan_term", "g_energy"], rows)
     )
 
-    y_cat = data.y_kind == "onehot"
-    y_labels = list(data.y_labels) if y_cat else None
-    g_cat_points = category_g_points(model, y_labels) if y_cat else None
-    _write_factor_tables(out, "train", train_pf, labels=y_labels if y_cat else None)
+    y_points, y_labels = _category_points(model, data)
+    _write_factor_tables(out, "train", train_pf, labels=y_labels)
     if test_pf is not None:
-        _write_factor_tables(out, "test", test_pf, labels=y_labels if y_cat else None)
+        _write_factor_tables(out, "test", test_pf, labels=y_labels)
+    _write_planes(out, train_pf, cfg.get("planes", []), y_points=y_points, y_labels=y_labels)
 
-    for i, j in cfg.get("planes", []):
-        plane, svg = fp.export_factor_plane(
-            train_pf, i, j,
-            y_points=g_cat_points if y_cat else None,
-            y_labels=y_labels if y_cat else None,
-        )
-        write_text_atomic(out / f"plane_{i}_{j}.svg", svg)
-        write_text_atomic(out / f"plane_{i}_{j}.csv", fp.plane_to_csv(plane))
+
+def _evaluate_saved(model_path, config, seed, out_dir):
+    """``(cfg, out, model, data, train_pf, test_pf)`` of a saved model on a config's dataset."""
+    cfg, out = _prepare(config, seed, out_dir)
+    model = load_model(model_path)
+    data = build_dataset(cfg["dataset"])
+    return (cfg, out, model, data, *evaluate_model(model, data))
 
 
 def run_eval(model_path, config, seed=None, out_dir=None) -> Path:
     """Re-evaluate a saved model on a config's dataset; writes a report."""
-    if not isinstance(config, dict):
-        config = load_config(config)
-    cfg = resolve_config(config, seed=seed, out_dir=out_dir)
-    out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    model = load_model(model_path)
-    data = build_dataset(cfg["dataset"])
-    train_pf, test_pf = evaluate_model(model, data)
+    cfg, out, _, _, train_pf, test_pf = _evaluate_saved(model_path, config, seed, out_dir)
     report = {
         "model": str(model_path),
         "config_hash": config_hash(cfg),
@@ -364,4 +370,12 @@ def run_eval(model_path, config, seed=None, out_dir=None) -> Path:
         "test": _diag_doc(test_pf) if test_pf is not None else None,
     }
     write_json_atomic(out / "pic_report_eval.json", report)
+    return out
+
+
+def run_plane(model_path, config, i, j, seed=None, out_dir=None) -> Path:
+    """Write the ``(i, j)`` factor plane of a saved model on a config's training split."""
+    _, out, model, data, train_pf, _ = _evaluate_saved(model_path, config, seed, out_dir)
+    y_points, y_labels = _category_points(model, data)
+    _write_planes(out, train_pf, [(i, j)], y_points=y_points, y_labels=y_labels)
     return out

@@ -55,15 +55,13 @@ def _points(matrix_rows, scale_i, scale_j, i, j, labels):
     ]
 
 
-def export_factor_plane(source, i, j, x_labels=None, y_labels=None, y_points=None,
-                        polyline=None):
+def export_factor_plane(source, i, j, x_labels=None, y_labels=None, y_points=None):
     """Build a :class:`FactorPlane` and its SVG document.
 
     ``source`` is a :class:`CaDecomposition` (categories as points) or
     a :class:`PrincipalFunctions` (samples as points; ``y_points`` may
     supply a d x k matrix of per-category coordinates to plot instead
-    of per-sample ones).  ``polyline`` is an optional sequence of d
-    vectors traced as a path over the plane.
+    of per-sample ones).
     """
     if i == j:
         raise ContractViolationError("plane axes must differ")
@@ -87,11 +85,7 @@ def export_factor_plane(source, i, j, x_labels=None, y_labels=None, y_points=Non
     else:
         raise ContractViolationError(f"cannot plot a {type(source).__name__}")
     plane = FactorPlane(axis_i=i, axis_j=j, x_points=xp, y_points=yp, score_ratios=ratios)
-    path_xy = None
-    if polyline is not None:
-        poly = np.asarray(polyline, dtype=np.float64)
-        path_xy = [(float(p[i]), float(p[j])) for p in poly]
-    return plane, render_svg(plane, polyline=path_xy)
+    return plane, render_svg(plane)
 
 
 def plane_to_csv(plane: FactorPlane) -> str:
@@ -139,6 +133,7 @@ def plane_from_csv(text: str) -> FactorPlane:
     return FactorPlane(*axes, points["x"], points["y"], ratios)
 
 
+#: No element uses ``.path``; the rule stays so that plane SVGs keep their bytes.
 _SVG_STYLE = (
     ".xpt{fill:#1f6fb4;fill-opacity:0.65;stroke:none}"
     ".ypt{fill:#c23b22;stroke:#7a1f12;stroke-width:0.8}"
@@ -149,7 +144,7 @@ _SVG_STYLE = (
 )
 
 
-def render_svg(plane: FactorPlane, polyline=None) -> str:
+def render_svg(plane: FactorPlane) -> str:
     """Deterministic SVG scatter of a factor plane.
 
     Dashed lines mark the two zero axes; x points draw as discs, y
@@ -157,8 +152,6 @@ def render_svg(plane: FactorPlane, polyline=None) -> str:
     """
     size, margin = SVG_SIZE, SVG_MARGIN
     coords = [(ci, cj) for _, ci, cj in plane.x_points + plane.y_points]
-    if polyline:
-        coords.extend(polyline)
     extent = max((max(abs(a), abs(b)) for a, b in coords), default=1.0)
     extent = max(extent * 1.12, 1e-9)
     span = size - 2 * margin
@@ -198,9 +191,6 @@ def render_svg(plane: FactorPlane, polyline=None) -> str:
             f'L {cx:.2f} {cy + 4:.2f} L {cx - 4:.2f} {cy:.2f} Z"/>'
         )
         out.append(f'<text class="lbl" x="{cx + 5:.2f}" y="{cy + 3:.2f}">{_esc(label)}</text>')
-    if polyline:
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in polyline)
-        out.append(f'<polyline class="path" points="{pts}"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

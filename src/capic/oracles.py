@@ -20,11 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import MAX_EXACT_CELLS
 from .datasets import PairedDataset
 from .errors import CapacityError, ContractViolationError, NotPsdError
 
-#: Largest bit-string length for the exact joint pmf (2^24 cells).
-MAX_PMF_BITS = 12
+#: Largest bit-string length for the exact joint pmf: the largest n whose
+#: 4^n cells ``classical.pics_exact`` accepts (10 bits, 2^20 cells).
+MAX_PMF_BITS = (MAX_EXACT_CELLS.bit_length() - 1) // 2
 
 #: Largest supported Hermite degree; the recurrence is stable well past
 #: this but the factorial normalization starts losing digits.
@@ -97,7 +99,7 @@ def bsc_joint_pmf(spec: BscSpec) -> np.ndarray:
     """Exact joint pmf over all (x, y) bit-string pairs.
 
     Cell (x, y) equals ``p(x) * delta**h * (1-delta)**(n-h)`` with h the
-    Hamming distance.  Limited to ``n_bits <= 12``.
+    Hamming distance.  Limited to ``n_bits <= MAX_PMF_BITS``.
     """
     n = spec.n_bits
     if n > MAX_PMF_BITS:

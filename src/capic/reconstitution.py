@@ -118,6 +118,8 @@ def prior_from_counts(labels_seq, labels) -> np.ndarray:
     counts = np.zeros(len(labels))
     total = 0
     for l in labels_seq:
+        if l not in index:
+            raise ContractViolationError(f"unknown label {l!r}")
         counts[index[l]] += 1.0
         total += 1
     if total == 0:

@@ -3,9 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from capic.classical import ca_decompose, contingency_from_pmf
 from capic.cli import main
+from capic.datasets import WINE_SCHEMA, synthetic_wine_csv
 from capic.experiment import build_dataset, read_pmf_csv, run_experiment
+from capic.factor_plane import export_factor_plane, plane_from_csv, plane_to_csv
 from capic.fileio import dump_json
+from capic.model import fit_ca_nn_model, save_model
+from capic.neural import MlpConfig, TrainConfig
 
 
 def tiny_bsc_config(out_dir, epochs=30):
@@ -84,6 +89,24 @@ class TestRunExperiment:
         sigma = float(scores[1].split(",")[1])
         assert sigma == pytest.approx(0.6, abs=1e-12)  # hand-computed 2x2
 
+    def test_svd_planes_are_the_exported_planes(self, tmp_path):
+        pmf_path = tmp_path / "table.csv"
+        pmf_path.write_text(",u,v,w\nr1,0.2,0.05,0.05\nr2,0.05,0.2,0.1\nr3,0.1,0.05,0.2\n")
+        cfg = {
+            "version": 1, "mode": "svd", "output_dir": str(tmp_path / "svd"),
+            "dataset": {"source": "pmf_csv", "path": str(pmf_path)},
+            "planes": [[0, 1], [1, 0]],
+        }
+        out = run_experiment(cfg)
+        table = contingency_from_pmf(*read_pmf_csv(pmf_path))
+        decomp = ca_decompose(table)
+        for i, j in cfg["planes"]:
+            plane, svg = export_factor_plane(
+                decomp, i, j, x_labels=table.x_labels, y_labels=table.y_labels
+            )
+            assert (out / f"plane_{i}_{j}.svg").read_bytes() == svg.encode()
+            assert (out / f"plane_{i}_{j}.csv").read_bytes() == plane_to_csv(plane).encode()
+
     def test_output_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CA_OUTPUT_DIR", str(tmp_path / "envout"))
         cfg = tiny_bsc_config(tmp_path / "ignored", epochs=2)
@@ -139,7 +162,29 @@ class TestCli:
             "plane", "--model", str(model_path), "--config", str(cfg_path),
             "-i", "0", "-j", "1", "--out", str(tmp_path / "plane"),
         ]) == 0
-        assert (tmp_path / "plane" / "plane_0_1.svg").exists()
+        for name in ("plane_0_1.svg", "plane_0_1.csv"):
+            # Same model, same training split: the run's own plane, byte for byte.
+            plane_bytes = (tmp_path / "plane" / name).read_bytes()
+            assert plane_bytes == (tmp_path / "run" / name).read_bytes()
+
+    def test_plane_of_categorical_y_has_one_y_point_per_label(self, tmp_path):
+        csv_path = tmp_path / "wine.csv"
+        synthetic_wine_csv(csv_path, n_samples=120, seed=0)
+        dcfg = {"source": "csv", "path": str(csv_path), "schema": WINE_SCHEMA, "standardize": True}
+        data = build_dataset(dcfg)
+        f_cfg = MlpConfig((data.x.shape[0], 8, 2), "relu", 1)
+        g_cfg = MlpConfig((data.y.shape[0], 8, 2), "relu", 2)
+        model, _ = fit_ca_nn_model(data, f_cfg, g_cfg, TrainConfig(epochs=3, optimizer="adam"))
+        save_model(model, tmp_path / "model.json")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(dump_json({"version": 1, "dataset": dcfg}))
+        assert main([
+            "plane", "--model", str(tmp_path / "model.json"), "--config", str(cfg_path),
+            "-i", "0", "-j", "1", "--out", str(tmp_path / "plane"),
+        ]) == 0
+        plane = plane_from_csv((tmp_path / "plane" / "plane_0_1.csv").read_text())
+        assert [label for label, _, _ in plane.y_points] == [str(l) for l in data.y_labels]
+        assert len(plane.x_points) == data.x.shape[1]
 
     def test_svd_subcommand_on_pmf(self, tmp_path):
         pmf_path = tmp_path / "table.csv"
@@ -211,6 +256,25 @@ class TestCli:
         lines = (tmp_path / "interp" / "interpolation.csv").read_text().splitlines()
         assert lines[0] == "step,f0"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("d", None, "config is missing d"),
+        ("train.epochs", None, "config is missing train.epochs"),
+        ("dataset.n_samples", None, "config is missing dataset.n_samples"),
+        ("train.lr", "fast", "config train.lr = 'fast'"),
+    ], ids=["no-d", "no-epochs", "no-n_samples", "bad-lr"])
+    def test_config_error_names_the_key(self, tmp_path, capsys, key, value, message):
+        cfg = tiny_bsc_config(tmp_path / "run", epochs=2)
+        *outer, name = key.split(".")
+        block = cfg[outer[0]] if outer else cfg
+        if value is None:
+            del block[name]
+        else:
+            block[name] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(dump_json(cfg))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_error_paths_return_nonzero(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -93,13 +93,6 @@ class TestExport:
         assert len(plane.y_points) == 4
         assert plane.y_points[0][1] == pytest.approx(0.9 * cats[0, 0])
 
-    def test_polyline_rendered(self):
-        _, decomp = small_decomposition()
-        poly = np.zeros((5, decomp.d))
-        poly[:, 0] = np.linspace(-0.2, 0.2, 5)
-        _, svg = export_factor_plane(decomp, 0, 1, polyline=poly)
-        assert '<polyline class="path"' in svg
-
 
 class TestCsvTwin:
     def test_round_trip_identity(self):

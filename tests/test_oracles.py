@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from capic.classical import pics_exact
+from capic.classical import MAX_EXACT_CELLS, pics_exact
 from capic.errors import CapacityError, ContractViolationError, NotPsdError
 from capic.oracles import (
+    MAX_PMF_BITS,
     BscSpec,
     GaussianPairSpec,
     bsc_joint_pmf,
@@ -63,6 +64,12 @@ class TestBscJointPmf:
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             bsc_joint_pmf(BscSpec(13, 0.1))
+
+    def test_cap_matches_exact_oracle_cap(self):
+        # Every pmf that builds is one pics_exact accepts, and no larger.
+        assert 4 ** MAX_PMF_BITS <= MAX_EXACT_CELLS < 4 ** (MAX_PMF_BITS + 1)
+        with pytest.raises(CapacityError, match="n_bits=11"):
+            bsc_joint_pmf(BscSpec(11, 0.1))
 
 
 class TestBscSample:

@@ -161,6 +161,11 @@ def test_prior_from_counts():
     np.testing.assert_allclose(prior, [0.25, 0.75])
 
 
+def test_prior_from_counts_unknown_label_names_it():
+    with pytest.raises(ContractViolationError, match="'zz'"):
+        prior_from_counts(["a", "zz"], labels=("a", "b"))
+
+
 class TestUnknownLabels:
     def model(self):
         table = contingency_from_pmf(np.array([[0.3, 0.2], [0.1, 0.4]]), ("a", "b"), ("u", "v"))
