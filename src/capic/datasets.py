@@ -17,7 +17,7 @@ from .errors import (
     CsvParseError,
     EmptyDatasetError,
 )
-from .fileio import csv_text, write_text_atomic
+from .fileio import csv_text, open_input, write_text_atomic
 
 ROLES = ("x-continuous", "x-categorical", "y-continuous", "y-categorical", "ignore")
 
@@ -142,7 +142,7 @@ def load_csv(path, schema, standardize=False, test_fraction=0.0, split_seed=0):
     for col, role in schema.items():
         if role not in ROLES:
             raise ContractViolationError(f"unknown role {role!r} for column {col!r}")
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

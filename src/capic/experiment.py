@@ -39,7 +39,9 @@ from . import factor_plane as fp
 from .classical import ca_decompose, contingency_from_pmf, contingency_from_samples
 from .datasets import PairedDataset, Split, load_csv, one_hot_decode
 from .errors import ContractViolationError, CsvParseError
-from .fileio import csv_text, sha256_of_json, write_json_atomic, write_text_atomic
+from .fileio import (
+    csv_text, open_input, read_json_object, sha256_of_json, write_json_atomic, write_text_atomic,
+)
 from .model import CaNnModel, fit_ca_nn_model, load_model, save_model
 from .neural import MlpConfig, TrainConfig, evaluate_loss, forward, mlp_init
 from .oracles import (
@@ -49,15 +51,14 @@ from .oracles import (
     gaussian_pair_sample,
     multimodal_gaussian_sample,
 )
-from .whitening import apply_whitening
+from .whitening import principal_functions
 
 CONFIG_VERSION = 1
 OUTPUT_DIR_ENV = "CA_OUTPUT_DIR"
 
 
 def load_config(path) -> dict:
-    with open(path) as fh:
-        cfg = json.load(fh)
+    cfg = read_json_object(path)
     if cfg.get("version") != CONFIG_VERSION:
         raise ContractViolationError(
             f"unsupported config version {cfg.get('version')!r}"
@@ -105,12 +106,16 @@ def _prepare(config, seed, out_dir):
     return cfg, out
 
 
-def _read(block, where, kinds, required=()):
+def _read(block, where, kinds, required=(), closed=False):
     """Convert each key of ``kinds`` that a config block sets or that is ``required``.
 
     A missing or unconvertible value raises :class:`ContractViolationError`
-    naming ``where`` + key; keys that ``kinds`` does not name are ignored.
+    naming ``where`` + key.  A key that ``kinds`` does not name is ignored,
+    or with ``closed`` raises the same error.
     """
+    for key in block if closed else ():
+        if key not in kinds:
+            raise ContractViolationError(f"config sets unknown key {where}{key}")
     values = {}
     for key in (k for k in kinds if k in block or k in required):
         try:
@@ -127,23 +132,30 @@ def config_hash(cfg: dict) -> str:
     return sha256_of_json({k: v for k, v in cfg.items() if k != "output_dir"})
 
 
-#: Samplers of the synthetic sources, called with the dataset config,
-#: the total sample count and the seed.
+def _object(value):
+    """A config block: a JSON object."""
+    if not isinstance(value, dict):
+        raise TypeError("not an object")
+    return value
+
+
+#: Readers of the top-level keys of a config.
+_TOP_KEYS = {"d": int, "dataset": _object, "f_net": _object, "g_net": _object, "train": _object}
+#: Per synthetic source: the readers of its own keys, the ones it
+#: requires, and its sampler, called with the values read, the total
+#: sample count and the seed.
 _SAMPLERS = {
-    "bsc": lambda c, n, seed: bsc_sample(
-        BscSpec(n_bits=int(c["n_bits"]), delta=float(c["delta"]), p=float(c.get("p", 0.5))),
-        n, seed=seed,
-    ),
-    "gaussian": lambda c, n, seed: gaussian_pair_sample(
-        GaussianPairSpec(
-            sigma1=float(c["sigma1"]), sigma2=float(c["sigma2"]), n_samples=n, seed=seed
-        )
-    ),
-    "multimodal": lambda c, n, seed: multimodal_gaussian_sample(
-        mu0=c["mu0"], mu1=c["mu1"], cov=c["cov"], p_mode=float(c.get("p_mode", 0.5)),
-        n=n, seed=seed,
-    ),
+    "bsc": ({"n_bits": int, "delta": float, "p": float}, ("n_bits", "delta"),
+            lambda v, n, seed: bsc_sample(BscSpec(**v), n, seed=seed)),
+    "gaussian": ({"sigma1": float, "sigma2": float}, ("sigma1", "sigma2"),
+                 lambda v, n, seed: gaussian_pair_sample(
+                     GaussianPairSpec(**v, n_samples=n, seed=seed))),
+    "multimodal": ({"mu0": list, "mu1": list, "cov": list, "p_mode": float}, ("mu0", "mu1", "cov"),
+                   lambda v, n, seed: multimodal_gaussian_sample(
+                       **{"p_mode": 0.5, **v}, n=n, seed=seed)),
 }
+_CSV_KEYS = {"path": str, "schema": _object, "standardize": bool, "test_fraction": float,
+             "split_seed": int, "seed": int}
 
 
 def build_dataset(dcfg: dict) -> PairedDataset:
@@ -155,18 +167,19 @@ def build_dataset(dcfg: dict) -> PairedDataset:
     """
     source = dcfg.get("source")
     if source == "csv":
-        return load_csv(
-            dcfg["path"], dcfg["schema"],
-            standardize=bool(dcfg.get("standardize", False)),
-            test_fraction=float(dcfg.get("test_fraction", 0.0)),
-            split_seed=int(dcfg.get("split_seed", dcfg.get("seed", 0))),
-        )
+        values = _read(dcfg, "dataset.", _CSV_KEYS, required=("path", "schema"))
+        seed = values.pop("seed", 0)
+        return load_csv(**{"split_seed": seed, **values})
     if source not in _SAMPLERS:
         raise ContractViolationError(f"unknown dataset source {source!r}")
-    sizes = _read(dcfg, "dataset.", {"n_samples": int, "n_test": int}, required=("n_samples",))
-    n_train, n_test = sizes["n_samples"], sizes.get("n_test", 0)
+    kinds, required, draw = _SAMPLERS[source]
+    values = _read(
+        dcfg, "dataset.", {"n_samples": int, "n_test": int, "seed": int, **kinds},
+        required=("n_samples", *required),
+    )
+    n_train, n_test, seed = (values.pop(key, 0) for key in ("n_samples", "n_test", "seed"))
     n = n_train + n_test
-    ds = _SAMPLERS[source](dcfg, n, int(dcfg.get("seed", 0)))
+    ds = draw(values, n, seed)
     if n_test > 0:
         ds.split = Split(train_idx=np.arange(n_train), test_idx=np.arange(n_train, n))
     return ds
@@ -174,7 +187,7 @@ def build_dataset(dcfg: dict) -> PairedDataset:
 
 def read_pmf_csv(path):
     """Joint-table CSV: header row carries y labels, first column x labels."""
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise CsvParseError(f"{path}: file is empty", line=1)
@@ -195,15 +208,14 @@ def read_pmf_csv(path):
 
 #: Readers of the keys of an ``f_net``/``g_net`` and of the ``train`` block.
 #: MlpConfig and TrainConfig hold the defaults of the keys a block leaves out.
-_NET_KEYS = {"hidden": lambda h: [int(w) for w in h], "activation": str, "seed": int,
-             "output_clip": lambda c: c}
+_NET_KEYS = {"hidden": lambda h: [int(w) for w in h], "activation": str, "seed": int}
 _TRAIN_KEYS = {"epochs": int, "batch_size": lambda b: b if b == "full" else int(b),
                "optimizer": str, "lr": float, "beta1": float, "beta2": float,
                "adam_eps": float, "loss_eps": float, "seed": int}
 
 
 def _mlp_config(net_cfg: dict, where: str, in_width: int, d: int) -> MlpConfig:
-    values = _read(net_cfg, where, _NET_KEYS)
+    values = _read(net_cfg, where, _NET_KEYS, closed=True)
     hidden = values.pop("hidden", [32, 32])
     if "seed" in values:
         values["init_seed"] = values.pop("seed")
@@ -211,16 +223,14 @@ def _mlp_config(net_cfg: dict, where: str, in_width: int, d: int) -> MlpConfig:
 
 
 def _train_config(tcfg: dict) -> TrainConfig:
-    return TrainConfig(**_read(tcfg, "train.", _TRAIN_KEYS, required=("epochs",)))
+    return TrainConfig(**_read(tcfg, "train.", _TRAIN_KEYS, required=("epochs",), closed=True))
 
 
 def evaluate_model(model: CaNnModel, data: PairedDataset):
-    """Apply the stored whitening to train and (if present) test splits."""
+    """The nets' outputs on the train and (if any, else None) test split, with diagonals."""
 
     def principal(x, y):
-        return apply_whitening(
-            model.transform, forward(model.f_params, x)[0], forward(model.g_params, y)[0]
-        )
+        return principal_functions(forward(model.f_params, x)[0], forward(model.g_params, y)[0])
 
     test = data.test_arrays()
     return principal(*data.train_arrays()), None if test is None else principal(*test)
@@ -230,7 +240,7 @@ def _category_points(model: CaNnModel, data: PairedDataset):
     """A plane's y points and labels: one per category of a one-hot y, else ``None``s."""
     if data.y_kind != "onehot":
         return None, None
-    return model.principal_g(np.eye(len(data.y_labels))), list(data.y_labels)
+    return forward(model.g_params, np.eye(len(data.y_labels)))[0], list(data.y_labels)
 
 
 def _write_planes(out, source, planes, **export_kw):
@@ -284,12 +294,12 @@ def run_experiment(config, seed=None, out_dir=None) -> Path:
 
 
 def _run_svd(cfg, out, cfg_hash):
-    dcfg = cfg["dataset"]
+    dcfg = _read(cfg, "", _TOP_KEYS, required=("dataset",))["dataset"]
     if dcfg.get("source") == "pmf_csv":
-        table_arr, x_labels, y_labels = read_pmf_csv(dcfg["path"])
-        table = contingency_from_pmf(table_arr, x_labels, y_labels)
+        path = _read(dcfg, "dataset.", {"path": str}, required=("path",))["path"]
+        table = contingency_from_pmf(*read_pmf_csv(path))
     elif dcfg.get("source") == "csv":
-        ds = load_csv(dcfg["path"], dcfg["schema"])
+        ds = build_dataset(dcfg)
         if ds.x_kind != "onehot" or ds.y_kind != "onehot":
             raise ContractViolationError("svd mode needs categorical x and y columns")
         xs = one_hot_decode(ds.x, ds.x_labels)
@@ -315,18 +325,18 @@ def _diag_doc(pf):
 
 
 def _run_train(cfg, out, cfg_hash):
-    data = build_dataset(cfg["dataset"])
-    d = _read(cfg, "", {"d": int}, required=("d",))["d"]
-    f_cfg = _mlp_config(cfg.get("f_net", {}), "f_net.", data.x.shape[0], d)
-    g_cfg = _mlp_config(cfg.get("g_net", {}), "g_net.", data.y.shape[0], d)
-    t_cfg = _train_config(cfg.get("train", {}))
+    blocks = _read(cfg, "", _TOP_KEYS, required=("d", "dataset"))
+    d = blocks["d"]
+    data = build_dataset(blocks["dataset"])
+    f_cfg = _mlp_config(blocks.get("f_net", {}), "f_net.", data.x.shape[0], d)
+    g_cfg = _mlp_config(blocks.get("g_net", {}), "g_net.", data.y.shape[0], d)
+    t_cfg = _train_config(blocks.get("train", {}))
 
     x_tr, y_tr = data.train_arrays()
     initial = evaluate_loss(mlp_init(f_cfg), mlp_init(g_cfg), x_tr, y_tr, eps=t_cfg.loss_eps)
     model, history = fit_ca_nn_model(
         data, f_cfg, g_cfg, t_cfg, metadata={"config_hash": cfg_hash, "d": d}
     )
-    final = evaluate_loss(model.f_params, model.g_params, x_tr, y_tr, eps=t_cfg.loss_eps)
     save_model(model, out / "model.json")
 
     train_pf, test_pf = evaluate_model(model, data)
@@ -335,8 +345,8 @@ def _run_train(cfg, out, cfg_hash):
         "train": _diag_doc(train_pf),
         "test": _diag_doc(test_pf) if test_pf is not None else None,
         "loss_initial": initial.loss,
-        "loss_final": final.loss,
-        "kyfan_final": final.kyfan_term,
+        "loss_final": model.loss_final,
+        "kyfan_final": model.kyfan_final,
     }
     write_json_atomic(out / "pic_report.json", report)
 
@@ -356,7 +366,7 @@ def _evaluate_saved(model_path, config, seed, out_dir):
     """``(cfg, out, model, data, train_pf, test_pf)`` of a saved model on a config's dataset."""
     cfg, out = _prepare(config, seed, out_dir)
     model = load_model(model_path)
-    data = build_dataset(cfg["dataset"])
+    data = build_dataset(_read(cfg, "", _TOP_KEYS, required=("dataset",))["dataset"])
     return (cfg, out, model, data, *evaluate_model(model, data))
 
 

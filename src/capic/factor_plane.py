@@ -18,6 +18,7 @@ import numpy as np
 from .classical import CaDecomposition
 from .errors import ContractViolationError, CsvParseError, UnsupportedOperationError
 from .fileio import csv_text
+from .neural import forward
 from .whitening import PrincipalFunctions
 
 PLANE_CSV_HEADER = "# factor-plane v1"
@@ -217,4 +218,4 @@ def interpolate_path(model, x_start, x_end, steps: int) -> np.ndarray:
         raise ContractViolationError("endpoint dimensions differ")
     t = np.linspace(0.0, 1.0, steps)
     batch = a[:, None] * (1.0 - t)[None, :] + b[:, None] * t[None, :]
-    return model.principal_f(batch).T
+    return forward(model.f_params, batch)[0].T

@@ -1,4 +1,4 @@
-"""Deterministic file output helpers.
+"""Deterministic file output helpers, and the opening of input files.
 
 Artifacts are written atomically (temp file in the target directory,
 then rename) and contain no timestamps, so rerunning a configuration
@@ -17,11 +17,33 @@ import json
 import os
 import tempfile
 
+from .errors import ContractViolationError
+
 
 def _umask() -> int:
     mask = os.umask(0)
     os.umask(mask)
     return mask
+
+
+def open_input(path, newline=None):
+    """``open(path)`` for reading; an unreadable path raises a typed error naming it."""
+    try:
+        return open(path, newline=newline)
+    except OSError as exc:
+        raise ContractViolationError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def read_json_object(path) -> dict:
+    """The JSON object stored at ``path``; other content raises a typed error naming it."""
+    with open_input(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ContractViolationError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ContractViolationError(f"{path} holds a JSON {type(doc).__name__}, not an object")
+    return doc
 
 
 def write_text_atomic(path, text: str):

@@ -1,69 +1,68 @@
-"""Trained paired-encoder model: nets, whitening transform, estimates.
+"""Trained paired-encoder model: two nets whose outputs are the principal functions.
 
-The model bundles everything needed to evaluate principal functions on
-new samples and serializes to a versioned JSON document (net configs
-plus flat parameter arrays, whitening matrices, estimated diagonal).
+Training ends by folding the whitening fitted on the training split
+(see :mod:`capic.whitening`) into each net's linear output layer,
+``W <- A W`` and ``b <- A (b - mean)``.  The model also keeps the
+training-split diagonal and the final loss terms of the nets before the
+fold, and serializes to a versioned JSON document.
 
 Precision: the nets are trained in float32 (see :mod:`capic.neural`)
 and handed over as float64 copies of the float32 values.  Everything
-from there on runs in float64: the whitening fit, the principal
-functions, evaluation and the weights written to ``model.json``, which
-``repr`` keeps exact, so a save/load round trip is exact.
+from there on runs in float64: the whitening fit and fold, evaluation
+and the weights written to ``model.json``, which ``repr`` keeps exact,
+so a save/load round trip is exact.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .fileio import write_json_atomic
+from .fileio import read_json_object, write_json_atomic
 from .neural import MlpConfig, MlpParams, forward, train_ca_nn
-from .whitening import WhiteningTransform, apply_whitening, fit_whitening
+from .objective import BatchOutputs, pic_loss
+from .whitening import apply_whitening, fit_whitening
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
 class CaNnModel:
-    f_params: MlpParams
-    g_params: MlpParams
-    transform: WhiteningTransform
+    f_params: MlpParams   # x features -> principal functions f (d x n)
+    g_params: MlpParams   # y features -> principal functions g (d x n)
     pic_diagonal: np.ndarray   # training-set estimate, clamped for reporting
     raw_diagonal: np.ndarray
+    loss_final: float     # training-split loss terms of the nets before the fold
+    kyfan_final: float
     metadata: dict = field(default_factory=dict)
 
     @property
     def d(self) -> int:
         return self.f_params.config.out_width
 
-    def principal_f(self, x_batch) -> np.ndarray:
-        """Principal-function values of preprocessed x features (d x n)."""
-        out, _ = forward(self.f_params, x_batch)
-        return self.transform.a @ (out - self.transform.mean_f[:, None])
 
-    def principal_g(self, y_batch) -> np.ndarray:
-        out, _ = forward(self.g_params, y_batch)
-        return self.transform.b @ (out - self.transform.mean_g[:, None])
+def _fold(p: MlpParams, a, mean) -> MlpParams:
+    """The net whose output is ``a @ (out - mean)`` for p's output ``out``."""
+    w, b = a @ p.weights[-1], a @ (p.biases[-1] - mean)
+    return MlpParams(p.config, [*p.weights[:-1], w], [*p.biases[:-1], b])
 
 
 def fit_ca_nn_model(data, f_cfg, g_cfg, t_cfg, metadata=None):
-    """Train, fit whitening on the training split, assemble the model.
+    """Train, whiten on the training split, fold the whitening into the nets.
 
-    Returns ``(model, history)``.  The whitening transform and the
-    reported diagonal come from the training split alone; evaluation on
-    held-out data reuses the same transform.
+    Returns ``(model, history)``.  One pass of the trained nets over the
+    training split gives the whitening, the reported diagonal and the
+    final loss terms; evaluation on held-out data runs the folded nets.
     """
     f_params, g_params, history = train_ca_nn(data, f_cfg, g_cfg, t_cfg)
     x, y = data.train_arrays()
     f_out, _ = forward(f_params, x)
     g_out, _ = forward(g_params, y)
-    transform = fit_whitening(
-        f_out, g_out, fitted_on=str(data.provenance.get("source", ""))
-    )
+    transform = fit_whitening(f_out, g_out)
     pf = apply_whitening(transform, f_out, g_out)
+    final = pic_loss(BatchOutputs(f_out, g_out), eps=t_cfg.loss_eps)
     meta = dict(metadata or {})
     meta.setdefault("x_kind", data.x_kind)
     meta.setdefault("y_kind", data.y_kind)
@@ -75,11 +74,12 @@ def fit_ca_nn_model(data, f_cfg, g_cfg, t_cfg, metadata=None):
     if std is not None:
         meta.setdefault("standardization", std)
     model = CaNnModel(
-        f_params=f_params,
-        g_params=g_params,
-        transform=transform,
+        f_params=_fold(f_params, transform.a, transform.mean_f),
+        g_params=_fold(g_params, transform.b, transform.mean_g),
         pic_diagonal=pf.pic_diagonal,
         raw_diagonal=pf.raw_diagonal,
+        loss_final=final.loss,
+        kyfan_final=final.kyfan_term,
         metadata=meta,
     )
     return model, history
@@ -87,53 +87,31 @@ def fit_ca_nn_model(data, f_cfg, g_cfg, t_cfg, metadata=None):
 
 def _params_to_doc(params: MlpParams) -> dict:
     cfg = params.config
-    return {
-        "layer_widths": list(cfg.layer_widths),
-        "activation": cfg.activation,
-        "init_seed": cfg.init_seed,
-        "output_clip": cfg.output_clip,
-        "weights": [
-            {"shape": list(w.shape), "data": w.ravel().tolist()} for w in params.weights
-        ],
-        "biases": [
-            {"shape": list(b.shape), "data": b.ravel().tolist()} for b in params.biases
-        ],
-    }
+    doc = {"layer_widths": list(cfg.layer_widths), "activation": cfg.activation,
+           "init_seed": cfg.init_seed}
+    for name in ("weights", "biases"):
+        doc[name] = [{"shape": list(a.shape), "data": a.ravel().tolist()}
+                     for a in getattr(params, name)]
+    return doc
 
 
 def _params_from_doc(doc: dict) -> MlpParams:
-    cfg = MlpConfig(
-        layer_widths=tuple(doc["layer_widths"]),
-        activation=doc["activation"],
-        init_seed=doc["init_seed"],
-        output_clip=doc["output_clip"],
+    weights, biases = (
+        [np.asarray(a["data"], dtype=np.float64).reshape(a["shape"]) for a in doc[name]]
+        for name in ("weights", "biases")
     )
-    weights = [
-        np.asarray(w["data"], dtype=np.float64).reshape(w["shape"]) for w in doc["weights"]
-    ]
-    biases = [
-        np.asarray(b["data"], dtype=np.float64).reshape(b["shape"]) for b in doc["biases"]
-    ]
+    cfg = MlpConfig(tuple(doc["layer_widths"]), doc["activation"], doc["init_seed"])
     return MlpParams(cfg, weights, biases)
 
 
 def model_to_doc(model: CaNnModel) -> dict:
-    t = model.transform
     return {
         "format_version": FORMAT_VERSION,
         "f_net": _params_to_doc(model.f_params),
         "g_net": _params_to_doc(model.g_params),
-        "whitening": {
-            "a": t.a.tolist(),
-            "b": t.b.tolist(),
-            "mean_f": t.mean_f.tolist(),
-            "mean_g": t.mean_g.tolist(),
-            "fitted_on": t.fitted_on,
-        },
-        "pics": {
-            "clamped": model.pic_diagonal.tolist(),
-            "raw": model.raw_diagonal.tolist(),
-        },
+        "loss_final": model.loss_final,
+        "kyfan_final": model.kyfan_final,
+        "pics": {"clamped": model.pic_diagonal.tolist(), "raw": model.raw_diagonal.tolist()},
         "metadata": model.metadata,
     }
 
@@ -142,20 +120,13 @@ def model_from_doc(doc: dict) -> CaNnModel:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ContractViolationError(f"unsupported model format version {version!r}")
-    w = doc["whitening"]
-    transform = WhiteningTransform(
-        a=np.asarray(w["a"], dtype=np.float64),
-        b=np.asarray(w["b"], dtype=np.float64),
-        mean_f=np.asarray(w["mean_f"], dtype=np.float64),
-        mean_g=np.asarray(w["mean_g"], dtype=np.float64),
-        fitted_on=w.get("fitted_on", ""),
-    )
     return CaNnModel(
         f_params=_params_from_doc(doc["f_net"]),
         g_params=_params_from_doc(doc["g_net"]),
-        transform=transform,
         pic_diagonal=np.asarray(doc["pics"]["clamped"], dtype=np.float64),
         raw_diagonal=np.asarray(doc["pics"]["raw"], dtype=np.float64),
+        loss_final=doc["loss_final"],
+        kyfan_final=doc["kyfan_final"],
         metadata=doc.get("metadata", {}),
     )
 
@@ -165,6 +136,5 @@ def save_model(model: CaNnModel, path):
 
 
 def load_model(path) -> CaNnModel:
-    with open(path) as fh:
-        return model_from_doc(json.load(fh))
+    return model_from_doc(read_json_object(path))
 

@@ -37,7 +37,6 @@ class MlpConfig:
     layer_widths: tuple
     activation: str = "relu"
     init_seed: int = 0
-    output_clip: float | None = None
 
     def __post_init__(self):
         self.layer_widths = tuple(int(w) for w in self.layer_widths)
@@ -47,8 +46,6 @@ class MlpConfig:
             raise ContractViolationError(f"zero-width layer in {self.layer_widths}")
         if self.activation not in _ACTIVATIONS:
             raise ContractViolationError(f"unknown activation {self.activation!r}")
-        if self.output_clip is not None and not self.output_clip > 0:
-            raise ContractViolationError("output_clip must be > 0 when set")
 
     @property
     def in_width(self) -> int:
@@ -130,12 +127,12 @@ def mlp_init(cfg: MlpConfig) -> MlpParams:
 class StepBuffers:
     """Work arrays of one net at one batch width, in the params' dtype.
 
-    :func:`forward` writes the hidden activations, the output and the
-    clip mask here.  The first :func:`backward` pass adds what it
-    writes (see :meth:`for_backward`), so a forward-only pass allocates
-    just its activations.  ``batch`` holds an input mini-batch gathered
-    by the training loop.  Each pass through the same buffers
-    overwrites the previous one's results.
+    :func:`forward` writes the hidden activations and the output here.
+    The first :func:`backward` pass adds what it writes (see
+    :meth:`for_backward`), so a forward-only pass allocates just its
+    activations.  ``batch`` holds an input mini-batch gathered by the
+    training loop.  Each pass through the same buffers overwrites the
+    previous one's results.
     """
 
     def __init__(self, p: MlpParams, n: int):
@@ -144,7 +141,6 @@ class StepBuffers:
         self.batch = np.empty((cfg.in_width, n), dtype)
         self.hidden = [np.empty((w, n), dtype) for w in cfg.layer_widths[1:-1]]
         self.out = np.empty((cfg.out_width, n), dtype)
-        self.pass_mask = None if cfg.output_clip is None else np.empty((cfg.out_width, n), bool)
         self.grad = None
 
     def for_backward(self, p: MlpParams) -> StepBuffers:
@@ -206,12 +202,12 @@ def forward(p: MlpParams, x_batch, buffers: StepBuffers | None = None):
     """Evaluate the net on a batch (columns are samples).
 
     Returns the d x n output and the cache consumed by
-    :func:`backward`.  The batch is taken in the params' dtype, and
-    activations and output are written into ``buffers`` (fresh ones
-    when None), so the output is overwritten by the next pass through
-    the same buffers.  When ``output_clip`` is configured the output is
-    hard-clipped elementwise and the saturated coordinates are recorded
-    so they receive zero gradient.
+    :func:`backward`.  The output layer is linear, so an affine map of
+    the output folds into its weights and bias (see
+    :func:`capic.model.fit_ca_nn_model`).  The batch is taken in the
+    params' dtype, and activations and output are written into
+    ``buffers`` (fresh ones when None), so the output is overwritten by
+    the next pass through the same buffers.
     """
     x = as_matrix(x_batch, "x_batch", dtype=p.flat.dtype)
     cfg = p.config
@@ -232,9 +228,6 @@ def forward(p: MlpParams, x_batch, buffers: StepBuffers | None = None):
         a = h
     out = np.matmul(p.weights[-1], a, out=bufs.out)
     out += p.biases[-1][:, None]
-    if cfg.output_clip is not None:
-        np.less_equal(np.abs(out), cfg.output_clip, out=bufs.pass_mask)
-        np.clip(out, -cfg.output_clip, cfg.output_clip, out=out)
     return out, ForwardCache(x, bufs)
 
 
@@ -254,8 +247,6 @@ def backward(p: MlpParams, cache: ForwardCache, grad_out):
         )
     np.copyto(delta, grad_out)
     as_matrix(delta, "grad_out", dtype=delta.dtype)
-    if bufs.pass_mask is not None:
-        delta *= bufs.pass_mask
     for k in range(len(p.weights) - 1, -1, -1):
         below = bufs.hidden[k - 1] if k > 0 else cache.x
         np.matmul(delta, below.T, out=bufs.grad_w[k])

@@ -21,6 +21,7 @@ import numpy as np
 
 from .classical import CaDecomposition, ContingencyTable, ca_decompose
 from .errors import ContractViolationError
+from .neural import forward
 
 #: Reconstituted ratios are floored at this value inside classification
 #: only; raw ratios are returned unfloored.
@@ -104,8 +105,8 @@ def from_cann(model, labels, label_features, prior_y):
     feats = np.column_stack([np.asarray(v, dtype=np.float64) for v in label_features])
     return ReconstitutionModel(
         pic_sqrt=model.raw_diagonal,
-        f_eval=lambda x: model.principal_f(np.asarray(x, dtype=np.float64)[:, None])[:, 0],
-        g_points=model.principal_g(feats).T,
+        f_eval=lambda x: forward(model.f_params, np.asarray(x, dtype=np.float64)[:, None])[0][:, 0],
+        g_points=forward(model.g_params, feats)[0].T,
         labels=labels,
         prior_y=prior_y,
     )

@@ -12,8 +12,10 @@ step
 Applying ``(A, B)`` to the fitting set yields matrices F, G with
 ``(1/n) F F^T = (1/n) G G^T = I`` and ``(1/n) F G^T`` diagonal with the
 estimated component correlations on the diagonal, descending.  On
-held-out data the same transform is applied unchanged and those
-identities hold only approximately; they are reported, never asserted.
+held-out data those identities hold only approximately; they are never
+asserted, and not yet reported.  :mod:`capic.model` folds the fitted
+transform into each net's output layer, so a trained model's nets
+output F and G themselves.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ class WhiteningTransform:
     b: np.ndarray        # d x d, applied to centered G~
     mean_f: np.ndarray   # fitting-set row means of F~
     mean_g: np.ndarray   # fitting-set row means of G~
-    fitted_on: str = ""
 
 
 @dataclass
@@ -62,7 +63,7 @@ def _center_and_whiten(m, which):
     return mean, centered, root
 
 
-def fit_whitening(f_tilde, g_tilde, fitted_on: str = "") -> WhiteningTransform:
+def fit_whitening(f_tilde, g_tilde) -> WhiteningTransform:
     """Fit the whitening-and-alignment transform on one batch.
 
     Requires ``n > d`` and full-rank centered covariances on both sides;
@@ -82,28 +83,31 @@ def fit_whitening(f_tilde, g_tilde, fitted_on: str = "") -> WhiteningTransform:
     mean_g, gc, cg_root = _center_and_whiten(g_tilde, "G-encoder")
     cross = (cf_root @ fc) @ (cg_root @ gc).T / n
     u, _, vt = svd(cross)
-    return WhiteningTransform(
-        a=u.T @ cf_root, b=vt @ cg_root, mean_f=mean_f, mean_g=mean_g, fitted_on=fitted_on
-    )
+    return WhiteningTransform(a=u.T @ cf_root, b=vt @ cg_root, mean_f=mean_f, mean_g=mean_g)
 
 
 def apply_whitening(w: WhiteningTransform, f_tilde, g_tilde) -> PrincipalFunctions:
-    """Apply a fitted transform and estimate the component correlations.
+    """Apply a fitted transform, then :func:`principal_functions`."""
+    f_tilde = as_matrix(f_tilde, "f_tilde")
+    g_tilde = as_matrix(g_tilde, "g_tilde")
+    if f_tilde.shape[0] != w.a.shape[0] or g_tilde.shape[0] != w.b.shape[0]:
+        raise ContractViolationError("output width does not match the fitted transform")
+    f = w.a @ (f_tilde - w.mean_f[:, None])
+    return principal_functions(f, w.b @ (g_tilde - w.mean_g[:, None]))
+
+
+def principal_functions(f, g) -> PrincipalFunctions:
+    """Principal-function values F, G (d x n) and their component correlations.
 
     ``pic_diagonal`` is ``diag((1/n) F G^T)`` clipped into
     ``[-1, 1.01]``; finite-sample estimates can exceed 1, so a clip
     beyond that range only triggers a warning while the raw values are
     kept in ``raw_diagonal``.
     """
-    f_tilde = as_matrix(f_tilde, "f_tilde")
-    g_tilde = as_matrix(g_tilde, "g_tilde")
-    if f_tilde.shape[1] != g_tilde.shape[1]:
-        raise ContractViolationError("f_tilde and g_tilde sample counts differ")
-    d = w.a.shape[0]
-    if f_tilde.shape[0] != d or g_tilde.shape[0] != d:
-        raise ContractViolationError("output width does not match the fitted transform")
-    f = w.a @ (f_tilde - w.mean_f[:, None])
-    g = w.b @ (g_tilde - w.mean_g[:, None])
+    f = as_matrix(f, "f")
+    g = as_matrix(g, "g")
+    if f.shape != g.shape:
+        raise ContractViolationError(f"f and g shapes differ: {f.shape} vs {g.shape}")
     raw = np.einsum("ij,ij->i", f, g) / f.shape[1]
     clamped = np.clip(raw, CLAMP_LO, CLAMP_HI)
     if np.any(raw < CLAMP_LO) or np.any(raw > CLAMP_HI):

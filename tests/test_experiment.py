@@ -6,11 +6,12 @@ import pytest
 from capic.classical import ca_decompose, contingency_from_pmf
 from capic.cli import main
 from capic.datasets import WINE_SCHEMA, synthetic_wine_csv
-from capic.experiment import build_dataset, read_pmf_csv, run_experiment
+from capic.experiment import build_dataset, evaluate_model, read_pmf_csv, run_experiment
 from capic.factor_plane import export_factor_plane, plane_from_csv, plane_to_csv
 from capic.fileio import dump_json
 from capic.model import fit_ca_nn_model, save_model
 from capic.neural import MlpConfig, TrainConfig
+from capic.reconstitution import classify, from_cann, prior_from_counts
 
 
 def tiny_bsc_config(out_dir, epochs=30):
@@ -146,6 +147,30 @@ class TestBuildDataset:
             read_pmf_csv(bad)
 
 
+@pytest.fixture(scope="module")
+def wine_plane(tmp_path_factory):
+    """A categorical-y model on a 120-row wine CSV and the plane ``ca plane`` writes for it.
+
+    Returns ``(data, model, plane)``.
+    """
+    tmp_path = tmp_path_factory.mktemp("wine")
+    csv_path = tmp_path / "wine.csv"
+    synthetic_wine_csv(csv_path, n_samples=120, seed=0)
+    dcfg = {"source": "csv", "path": str(csv_path), "schema": WINE_SCHEMA, "standardize": True}
+    data = build_dataset(dcfg)
+    f_cfg = MlpConfig((data.x.shape[0], 8, 2), "relu", 1)
+    g_cfg = MlpConfig((data.y.shape[0], 8, 2), "relu", 2)
+    model, _ = fit_ca_nn_model(data, f_cfg, g_cfg, TrainConfig(epochs=3, optimizer="adam"))
+    save_model(model, tmp_path / "model.json")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(dump_json({"version": 1, "dataset": dcfg}))
+    assert main([
+        "plane", "--model", str(tmp_path / "model.json"), "--config", str(cfg_path),
+        "-i", "0", "-j", "1", "--out", str(tmp_path / "plane"),
+    ]) == 0
+    return data, model, plane_from_csv((tmp_path / "plane" / "plane_0_1.csv").read_text())
+
+
 class TestCli:
     def test_train_and_eval_and_plane(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -157,7 +182,11 @@ class TestCli:
             "eval", "--model", str(model_path), "--config", str(cfg_path),
             "--out", str(tmp_path / "eval"),
         ]) == 0
-        assert (tmp_path / "eval" / "pic_report_eval.json").exists()
+        # The saved nets reproduce the run's diagonals, byte for byte.
+        run_report = json.loads((tmp_path / "run" / "pic_report.json").read_text())
+        eval_report = json.loads((tmp_path / "eval" / "pic_report_eval.json").read_text())
+        for split in ("train", "test"):
+            assert eval_report[split] == run_report[split]
         assert main([
             "plane", "--model", str(model_path), "--config", str(cfg_path),
             "-i", "0", "-j", "1", "--out", str(tmp_path / "plane"),
@@ -167,24 +196,24 @@ class TestCli:
             plane_bytes = (tmp_path / "plane" / name).read_bytes()
             assert plane_bytes == (tmp_path / "run" / name).read_bytes()
 
-    def test_plane_of_categorical_y_has_one_y_point_per_label(self, tmp_path):
-        csv_path = tmp_path / "wine.csv"
-        synthetic_wine_csv(csv_path, n_samples=120, seed=0)
-        dcfg = {"source": "csv", "path": str(csv_path), "schema": WINE_SCHEMA, "standardize": True}
-        data = build_dataset(dcfg)
-        f_cfg = MlpConfig((data.x.shape[0], 8, 2), "relu", 1)
-        g_cfg = MlpConfig((data.y.shape[0], 8, 2), "relu", 2)
-        model, _ = fit_ca_nn_model(data, f_cfg, g_cfg, TrainConfig(epochs=3, optimizer="adam"))
-        save_model(model, tmp_path / "model.json")
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(dump_json({"version": 1, "dataset": dcfg}))
-        assert main([
-            "plane", "--model", str(tmp_path / "model.json"), "--config", str(cfg_path),
-            "-i", "0", "-j", "1", "--out", str(tmp_path / "plane"),
-        ]) == 0
-        plane = plane_from_csv((tmp_path / "plane" / "plane_0_1.csv").read_text())
+    def test_plane_of_categorical_y_has_one_y_point_per_label(self, wine_plane):
+        data, _, plane = wine_plane
         assert [label for label, _, _ in plane.y_points] == [str(l) for l in data.y_labels]
         assert len(plane.x_points) == data.x.shape[1]
+
+    def test_from_cann_label_points_are_the_plane_y_points(self, wine_plane):
+        data, model, plane = wine_plane
+        labels = data.y_labels
+        _, y_train = data.train_arrays()
+        prior = prior_from_counts([labels[k] for k in np.argmax(y_train, axis=0)], labels)
+        recon = from_cann(model, labels, list(np.eye(len(labels))), prior)
+        # the plane scales each axis by the training-split diagonal
+        diag = evaluate_model(model, data)[0].pic_diagonal
+        assert [(c_i, c_j) for _, c_i, c_j in plane.y_points] == [
+            (float(diag[0] * g[0]), float(diag[1] * g[1])) for g in recon.g_points
+        ]
+        predicted = {classify(recon, data.x[:, k])[0] for k in range(data.x.shape[1])}
+        assert predicted <= set(labels)
 
     def test_svd_subcommand_on_pmf(self, tmp_path):
         pmf_path = tmp_path / "table.csv"
@@ -262,7 +291,22 @@ class TestCli:
         ("train.epochs", None, "config is missing train.epochs"),
         ("dataset.n_samples", None, "config is missing dataset.n_samples"),
         ("train.lr", "fast", "config train.lr = 'fast'"),
-    ], ids=["no-d", "no-epochs", "no-n_samples", "bad-lr"])
+        ("dataset", None, "config is missing dataset"),
+        ("dataset.n_bits", None, "config is missing dataset.n_bits"),
+        ("dataset.delta", None, "config is missing dataset.delta"),
+        ("dataset", {"source": "gaussian", "sigma1": 1.0, "n_samples": 50},
+         "config is missing dataset.sigma2"),
+        ("dataset", {"source": "multimodal", "mu0": [5, 5], "mu1": [-5, -5], "n_samples": 50},
+         "config is missing dataset.cov"),
+        ("dataset", {"source": "csv", "schema": WINE_SCHEMA}, "config is missing dataset.path"),
+        ("dataset", {"source": "csv", "path": "wine.csv"}, "config is missing dataset.schema"),
+        ("train", 5, "config train = 5: not an object"),
+        ("f_net.output_clip", 10.0, "config sets unknown key f_net.output_clip"),
+        ("g_net.width", 8, "config sets unknown key g_net.width"),
+        ("train.epoch", 3, "config sets unknown key train.epoch"),
+    ], ids=["no-d", "no-epochs", "no-n_samples", "bad-lr", "no-dataset", "no-n_bits",
+            "no-delta", "no-sigma2", "no-cov", "csv-no-path", "csv-no-schema", "train-not-object",
+            "unknown-f_net-key", "unknown-g_net-key", "unknown-train-key"])
     def test_config_error_names_the_key(self, tmp_path, capsys, key, value, message):
         cfg = tiny_bsc_config(tmp_path / "run", epochs=2)
         *outer, name = key.split(".")
@@ -275,6 +319,34 @@ class TestCli:
         cfg_path.write_text(dump_json(cfg))
         assert main(["train", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_svd_config_error_names_the_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(dump_json({"version": 1, "dataset": {"source": "pmf_csv"}}))
+        assert main(["svd", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: config is missing dataset.path")
+
+    @pytest.mark.parametrize("case", [
+        "config-missing", "config-not-json", "config-list", "model-missing", "pmf-missing",
+        "csv-missing",
+    ])
+    def test_unreadable_input_names_the_path(self, tmp_path, capsys, case):
+        missing = str(tmp_path / "missing.file")
+        cfg = tiny_bsc_config(tmp_path / "run", epochs=2)
+        if case == "csv-missing":
+            cfg["dataset"] = {"source": "csv", "path": missing, "schema": WINE_SCHEMA}
+        cfg_path = tmp_path / "cfg.json"
+        text = {"config-not-json": "{", "config-list": "[1]"}.get(case, dump_json(cfg))
+        cfg_path.write_text(text)
+        argv = {
+            "config-missing": ["train", "--config", missing],
+            "model-missing": ["eval", "--model", missing, "--config", str(cfg_path)],
+            "pmf-missing": ["svd", "--pmf", missing, "--out", str(tmp_path)],
+        }.get(case, ["train", "--config", str(cfg_path)])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        named = str(cfg_path) if case in ("config-not-json", "config-list") else missing
+        assert err.startswith("error: ") and named in err
 
     def test_error_paths_return_nonzero(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -10,6 +10,8 @@ from capic.factor_plane import (
     plane_from_csv,
     plane_to_csv,
 )
+from capic.model import CaNnModel
+from capic.neural import MlpConfig, MlpParams
 from capic.whitening import PrincipalFunctions
 
 
@@ -142,32 +144,33 @@ class TestCsvTwin:
         assert plane_from_csv(plane_to_csv(plane)) == plane
 
 
-class FakeModel:
-    def __init__(self, metadata):
-        self.metadata = metadata
-
-    def principal_f(self, batch):
-        # affine map to two components so the path is easy to predict
-        return np.vstack([batch.sum(axis=0), batch[0] - batch[1]])
+def affine_model(x_kind):
+    """A model whose f net is the map x -> (x0 + x1, x0 - x1), so paths are easy to predict."""
+    f = MlpParams(
+        MlpConfig((2, 2, 2), activation="identity"),
+        [np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]])],
+        [np.zeros(2), np.zeros(2)],
+    )
+    return CaNnModel(f, f, np.ones(2), np.ones(2), 0.0, 0.0, {"x_kind": x_kind})
 
 
 class TestInterpolatePath:
     def test_endpoints_only(self):
-        model = FakeModel({"x_kind": "continuous"})
+        model = affine_model("continuous")
         path = interpolate_path(model, [0.0, 0.0], [1.0, 1.0], steps=2)
         np.testing.assert_allclose(path, [[0.0, 0.0], [2.0, 0.0]])
 
     def test_degenerate_single_point(self):
-        model = FakeModel({"x_kind": "continuous"})
+        model = affine_model("continuous")
         path = interpolate_path(model, [1.0, 2.0], [1.0, 2.0], steps=7)
         assert np.all(path == path[0])
 
     def test_categorical_rejected(self):
-        model = FakeModel({"x_kind": "onehot"})
+        model = affine_model("onehot")
         with pytest.raises(UnsupportedOperationError):
             interpolate_path(model, [0.0], [1.0], steps=3)
 
     def test_steps_minimum(self):
-        model = FakeModel({"x_kind": "continuous"})
+        model = affine_model("continuous")
         with pytest.raises(ContractViolationError):
             interpolate_path(model, [0.0], [1.0], steps=1)

@@ -4,7 +4,13 @@ import pytest
 from capic.datasets import PairedDataset
 from capic.errors import ContractViolationError
 from capic.model import fit_ca_nn_model, load_model, model_from_doc, model_to_doc, save_model
-from capic.neural import MlpConfig, TrainConfig
+from capic.neural import MlpConfig, TrainConfig, evaluate_loss, forward, train_ca_nn
+
+CONFIGS = (
+    MlpConfig((2, 8, 2), activation="tanh", init_seed=1),
+    MlpConfig((2, 8, 2), activation="tanh", init_seed=2),
+    TrainConfig(epochs=40, optimizer="adam", lr=0.01, seed=3),
+)
 
 
 @pytest.fixture(scope="module")
@@ -13,25 +19,27 @@ def tiny_model():
     x = rng.normal(size=(2, 300))
     y = 0.7 * x + 0.3 * rng.normal(size=(2, 300))
     data = PairedDataset(x=x, y=y, provenance={"source": "unit-test"})
-    model, history = fit_ca_nn_model(
-        data,
-        MlpConfig((2, 8, 2), activation="tanh", init_seed=1),
-        MlpConfig((2, 8, 2), activation="tanh", init_seed=2),
-        TrainConfig(epochs=40, optimizer="adam", lr=0.01, seed=3),
-    )
+    model, history = fit_ca_nn_model(data, *CONFIGS)
     return data, model, history
 
 
 class TestFitModel:
     def test_whitening_identities_on_training_set(self, tiny_model):
+        # the whitening is folded into the nets: their outputs are white
         data, model, _ = tiny_model
-        f = model.principal_f(data.x)
-        g = model.principal_g(data.y)
+        f, _ = forward(model.f_params, data.x)
+        g, _ = forward(model.g_params, data.y)
         n = data.n
         np.testing.assert_allclose(f @ f.T / n, np.eye(2), atol=1e-6)
         np.testing.assert_allclose(g @ g.T / n, np.eye(2), atol=1e-6)
         cross = f @ g.T / n
         np.testing.assert_allclose(np.diag(cross), model.raw_diagonal, atol=1e-12)
+
+    def test_final_loss_is_that_of_the_nets_before_the_fold(self, tiny_model):
+        data, model, _ = tiny_model
+        f_params, g_params, _ = train_ca_nn(data, *CONFIGS)
+        final = evaluate_loss(f_params, g_params, data.x, data.y, eps=CONFIGS[2].loss_eps)
+        assert (model.loss_final, model.kyfan_final) == (final.loss, final.kyfan_term)
 
     def test_metadata_captures_kinds(self, tiny_model):
         _, model, _ = tiny_model
@@ -46,7 +54,8 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         probe = np.linspace(-1, 1, 10).reshape(2, 5)
-        np.testing.assert_array_equal(model.principal_f(probe), loaded.principal_f(probe))
+        for saved, back in ((model.f_params, loaded.f_params), (model.g_params, loaded.g_params)):
+            np.testing.assert_array_equal(forward(saved, probe)[0], forward(back, probe)[0])
         np.testing.assert_array_equal(model.pic_diagonal, loaded.pic_diagonal)
         assert loaded.f_params.config.layer_widths == (2, 8, 2)
 
@@ -66,8 +75,10 @@ class TestSerialization:
         assert doc == again
 
     def test_version_checked(self, tiny_model):
+        # a version-1 document (nets plus a separate whitening block) must not load
         _, model, _ = tiny_model
-        doc = model_to_doc(model)
-        doc["format_version"] = 99
-        with pytest.raises(ContractViolationError):
-            model_from_doc(doc)
+        for version in (1, 99):
+            doc = model_to_doc(model)
+            doc["format_version"] = version
+            with pytest.raises(ContractViolationError, match="format version"):
+                model_from_doc(doc)
