@@ -82,6 +82,7 @@ def resolve_config(config, seed=None, out_dir=None) -> dict:
     """Fill overrides into a config document (returns a copy)."""
     cfg = json.loads(json.dumps(config))  # deep copy, JSON-safe by construction
     if seed is not None:
+        _read(cfg, "", _TOP_KEYS)  # a block that is not an object cannot take a seed
         cfg.setdefault("dataset", {})["seed"] = seed
         cfg["dataset"]["split_seed"] = seed
         cfg.setdefault("f_net", {})["seed"] = seed + 1

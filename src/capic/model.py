@@ -95,12 +95,22 @@ def _params_to_doc(params: MlpParams) -> dict:
     return doc
 
 
-def _params_from_doc(doc: dict) -> MlpParams:
+def _field(doc, key, where=""):
+    """``doc[key]``; a missing key raises ContractViolationError naming ``where + key``."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ContractViolationError(f"model document is missing {where}{key}")
+    return doc[key]
+
+
+def _params_from_doc(doc, where) -> MlpParams:
     weights, biases = (
-        [np.asarray(a["data"], dtype=np.float64).reshape(a["shape"]) for a in doc[name]]
+        [np.asarray(_field(a, "data", f"{where}{name}[{i}]."), dtype=np.float64)
+         .reshape(_field(a, "shape", f"{where}{name}[{i}]."))
+         for i, a in enumerate(_field(doc, name, where))]
         for name in ("weights", "biases")
     )
-    cfg = MlpConfig(tuple(doc["layer_widths"]), doc["activation"], doc["init_seed"])
+    keys = ("layer_widths", "activation", "init_seed")
+    cfg = MlpConfig(*(_field(doc, key, where) for key in keys))
     return MlpParams(cfg, weights, biases)
 
 
@@ -120,13 +130,16 @@ def model_from_doc(doc: dict) -> CaNnModel:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ContractViolationError(f"unsupported model format version {version!r}")
+    f_params = _params_from_doc(_field(doc, "f_net"), "f_net.")
+    g_params = _params_from_doc(_field(doc, "g_net"), "g_net.")
+    pics = _field(doc, "pics")
     return CaNnModel(
-        f_params=_params_from_doc(doc["f_net"]),
-        g_params=_params_from_doc(doc["g_net"]),
-        pic_diagonal=np.asarray(doc["pics"]["clamped"], dtype=np.float64),
-        raw_diagonal=np.asarray(doc["pics"]["raw"], dtype=np.float64),
-        loss_final=doc["loss_final"],
-        kyfan_final=doc["kyfan_final"],
+        f_params=f_params,
+        g_params=g_params,
+        pic_diagonal=np.asarray(_field(pics, "clamped", "pics."), dtype=np.float64),
+        raw_diagonal=np.asarray(_field(pics, "raw", "pics."), dtype=np.float64),
+        loss_final=_field(doc, "loss_final"),
+        kyfan_final=_field(doc, "kyfan_final"),
         metadata=doc.get("metadata", {}),
     )
 

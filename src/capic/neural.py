@@ -13,6 +13,20 @@ them.  The loss stays float64: :class:`~capic.objective.BatchOutputs`
 upcasts the d x n outputs, so covariances and eigendecompositions run
 in float64.  The trained weights come back as float64 copies;
 whitening, evaluation and the saved model run in float64 on those.
+
+Full-batch encoding: the loss depends on the data only through the
+empirical joint distribution of (X, Y), so a full-batch step runs each
+net once per *distinct* column of its side of the training split (32
+per side on BSC-5, against 15000 samples), gathers those outputs back
+to the n samples for :func:`~capic.objective.pic_loss`, and sums the
+samples' output gradients within each column's group before
+:func:`backward`.  That is the exact gradient: the hidden deltas are
+linear in the output delta and equal within a group, so summing first
+changes only rounding.  A side whose columns are all distinct
+(continuous data) is encoded as it is, with no gather.  Mini-batches
+keep the plain per-sample path: a batch of 64 holds few repeats, and
+the fixed per-step cost of the gather and the sums outweighs the
+smaller products.
 """
 
 from __future__ import annotations
@@ -173,6 +187,52 @@ class ForwardCache(NamedTuple):
 
     x: np.ndarray
     buffers: StepBuffers
+
+
+class _Encoding(NamedTuple):
+    """What one step feeds a net: the input columns and their buffers.
+
+    ``inverse`` maps the batch's samples to the columns (sample ``i`` is
+    column ``inverse[i]``), or is None when the columns are the batch.
+    ``gathered`` holds the d x n float64 outputs the loss sees.
+    """
+
+    columns: np.ndarray
+    buffers: StepBuffers
+    inverse: np.ndarray | None = None
+    gathered: np.ndarray | None = None
+
+    def gather(self, out):
+        """The batch's d x n outputs, from the outputs of the columns."""
+        if self.inverse is None:
+            return out
+        return np.take(out.astype(np.float64), self.inverse, axis=1, out=self.gathered)
+
+    def group_sum(self, grad):
+        """The gradient at the columns: the samples' gradients summed per column."""
+        if self.inverse is None:
+            return grad
+        width = self.columns.shape[1]
+        return np.stack([np.bincount(self.inverse, weights=row, minlength=width) for row in grad])
+
+
+def _distinct_encoding(p: MlpParams, a) -> _Encoding:
+    """Encode the samples ``a`` through their distinct columns.
+
+    Columns are compared by their bytes, one void value per column: a
+    1-D sort about 7x faster than ``np.unique(a, axis=1)``, which
+    compares field by field (5 against 38 ms on the 5 x 15000 float32
+    BSC-5 split, on one Xeon core).  For finite data equal bytes are
+    equal values; 0.0 and -0.0 stay apart, which costs a column, not
+    exactness.
+    """
+    rows = np.ascontiguousarray(a.T)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if first.size == a.shape[1]:
+        return _Encoding(a, StepBuffers(p, a.shape[1]))
+    gathered = np.empty((p.config.out_width, a.shape[1]))
+    return _Encoding(a[:, first], StepBuffers(p, first.size), inverse, gathered)
 
 
 def _activate(z, kind):
@@ -346,7 +406,10 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
     output width are dropped (the loss needs n >= d per batch).
 
     Training runs in float32 (see the module docstring); the returned
-    params are float64 copies of the trained float32 values.
+    params are float64 copies of the trained float32 values.  A
+    full-batch step encodes each distinct input column once, with the
+    exact gradient of the n-sample loss (see the module docstring);
+    mini-batch steps encode every sample of the batch.
 
     Raises :class:`TrainingDivergedError` with the offending epoch index
     as soon as the encoder outputs, the loss or the gradients stop being
@@ -370,7 +433,9 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
         y = np.ascontiguousarray(y, dtype=np.float32)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ContractViolationError("training data exceeds the float32 range")
-    f_pool, g_pool = {}, {}  # batch width -> StepBuffers
+    if t_cfg.batch_size == "full":
+        f_full, g_full = _distinct_encoding(f, x), _distinct_encoding(g, y)
+    f_pool, g_pool = {}, {}  # mini-batch width -> StepBuffers
     opt = _make_optimizer(t_cfg)
     rng = np.random.default_rng(t_cfg.seed)
     history = []
@@ -384,29 +449,35 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
             batches = [b for b in batches if b.size >= d]
         sums = np.zeros(3)
         for idx in batches:
-            width = n if idx is None else idx.size
-            if width not in f_pool:
-                f_pool[width] = StepBuffers(f, width)
-                g_pool[width] = StepBuffers(g, width)
-            f_bufs, g_bufs = f_pool[width], g_pool[width]
-            x_batch = x if idx is None else np.take(x, idx, axis=1, out=f_bufs.batch)
-            y_batch = y if idx is None else np.take(y, idx, axis=1, out=g_bufs.batch)
+            if idx is None:
+                f_enc, g_enc = f_full, g_full
+            else:
+                width = idx.size
+                if width not in f_pool:
+                    f_pool[width] = StepBuffers(f, width)
+                    g_pool[width] = StepBuffers(g, width)
+                f_bufs, g_bufs = f_pool[width], g_pool[width]
+                f_enc = _Encoding(np.take(x, idx, axis=1, out=f_bufs.batch), f_bufs)
+                g_enc = _Encoding(np.take(y, idx, axis=1, out=g_bufs.batch), g_bufs)
             # float32 overflows sooner; the checks below turn it into divergence
             with np.errstate(over="ignore"):
-                f_out, f_cache = forward(f, x_batch, f_bufs)
-                g_out, g_cache = forward(g, y_batch, g_bufs)
+                f_out, f_cache = forward(f, f_enc.columns, f_enc.buffers)
+                g_out, g_cache = forward(g, g_enc.columns, g_enc.buffers)
                 if not (np.all(np.isfinite(f_out)) and np.all(np.isfinite(g_out))):
                     raise TrainingDivergedError(
                         f"non-finite encoder outputs at epoch {epoch}", epoch=epoch
                     )
                 try:
-                    report = pic_loss(BatchOutputs(f_out, g_out), eps=t_cfg.loss_eps)
+                    report = pic_loss(
+                        BatchOutputs(f_enc.gather(f_out), g_enc.gather(g_out)),
+                        eps=t_cfg.loss_eps,
+                    )
                     if not np.isfinite(report.loss):
                         raise TrainingDivergedError(
                             f"non-finite loss at epoch {epoch}", epoch=epoch
                         )
-                    backward(f, f_cache, report.grad_f)
-                    backward(g, g_cache, report.grad_g)
+                    backward(f, f_cache, f_enc.group_sum(report.grad_f))
+                    backward(g, g_cache, g_enc.group_sum(report.grad_g))
                 except ContractViolationError as exc:
                     # finite outputs whose covariances or gradients overflow
                     # are divergence too
@@ -414,7 +485,7 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
                         f"loss or gradient computation failed at epoch {epoch}: {exc}",
                         epoch=epoch,
                     ) from exc
-                opt.step((f.flat, g.flat), (f_bufs.grad, g_bufs.grad))
+                opt.step((f.flat, g.flat), (f_enc.buffers.grad, g_enc.buffers.grad))
             sums += (report.loss, report.kyfan_term, report.g_energy)
         k = len(batches)
         history.append(EpochRecord(sums[0] / k, sums[1] / k, sums[2] / k))

@@ -320,6 +320,15 @@ class TestCli:
         assert main(["train", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("key", ["dataset", "f_net", "g_net", "train"])
+    def test_seed_override_names_a_block_that_is_not_an_object(self, tmp_path, capsys, key):
+        cfg = tiny_bsc_config(tmp_path / "run", epochs=2)
+        cfg[key] = 5
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(dump_json(cfg))
+        assert main(["train", "--config", str(cfg_path), "--seed", "3"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config {key} = 5: not an object")
+
     def test_svd_config_error_names_the_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(dump_json({"version": 1, "dataset": {"source": "pmf_csv"}}))

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
+from capic.cli import main
 from capic.datasets import PairedDataset
 from capic.errors import ContractViolationError
+from capic.fileio import dump_json
 from capic.model import fit_ca_nn_model, load_model, model_from_doc, model_to_doc, save_model
 from capic.neural import MlpConfig, TrainConfig, evaluate_loss, forward, train_ca_nn
 
@@ -82,3 +86,34 @@ class TestSerialization:
             doc["format_version"] = version
             with pytest.raises(ContractViolationError, match="format version"):
                 model_from_doc(doc)
+
+    @pytest.mark.parametrize("path,named", [
+        ("f_net", "f_net"),
+        ("g_net.biases", "g_net.biases"),
+        ("f_net.activation", "f_net.activation"),
+        ("f_net.weights.1.shape", "f_net.weights[1].shape"),
+        ("pics.raw", "pics.raw"),
+        ("loss_final", "loss_final"),
+    ])
+    def test_missing_key_is_named(self, tiny_model, path, named):
+        _, model, _ = tiny_model
+        doc = model_to_doc(model)
+        *outer, last = path.split(".")
+        block = doc
+        for key in outer:
+            block = block[int(key)] if isinstance(block, list) else block[key]
+        del block[last]
+        with pytest.raises(ContractViolationError,
+                           match=f"^model document is missing {re.escape(named)}$"):
+            model_from_doc(doc)
+
+    def test_eval_of_a_model_without_nets_exits_2(self, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(dump_json({"format_version": 2}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(dump_json({"version": 1, "dataset": {
+            "source": "bsc", "n_bits": 2, "delta": 0.1, "n_samples": 20}}))
+        argv = ["eval", "--model", str(model_path), "--config", str(cfg_path),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: model document is missing f_net\n"

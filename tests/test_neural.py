@@ -9,6 +9,7 @@ from capic.errors import ContractViolationError, TrainingDivergedError
 from capic.experiment import build_dataset, evaluate_model
 from capic.model import fit_ca_nn_model
 from capic.neural import (
+    EpochRecord,
     MlpConfig,
     MlpParams,
     TrainConfig,
@@ -18,6 +19,7 @@ from capic.neural import (
     mlp_init,
     train_ca_nn,
 )
+from capic.objective import BatchOutputs, pic_loss
 
 
 def loss_for_fd(params, x, probe):
@@ -285,6 +287,95 @@ class TestTraining:
                 MlpConfig((1, 8, 3)),
                 TrainConfig(epochs=1),
             )
+
+
+def bsc_split(n_bits, n, seed=0):
+    return build_dataset({"source": "bsc", "n_bits": n_bits, "delta": 0.1,
+                          "n_samples": n, "seed": seed})
+
+
+def gd_on_every_sample(data, f_cfg, g_cfg, t_cfg):
+    """Full-batch GD with both nets run on all n samples of the split.
+
+    The reference for the distinct-column encoding of ``train_ca_nn``:
+    the same float32 nets, loss and update, without the gather and the
+    per-column gradient sums.  Returns ``(f, g, history)`` like it.
+    """
+    x, y = (np.ascontiguousarray(a, dtype=np.float32) for a in data.train_arrays())
+    f = mlp_init(f_cfg).astype(np.float32)
+    g = mlp_init(g_cfg).astype(np.float32)
+    history = []
+    for _ in range(t_cfg.epochs):
+        f_out, f_cache = forward(f, x)
+        g_out, g_cache = forward(g, y)
+        report = pic_loss(BatchOutputs(f_out, g_out), eps=t_cfg.loss_eps)
+        backward(f, f_cache, report.grad_f)
+        backward(g, g_cache, report.grad_g)
+        f.flat -= t_cfg.lr * f_cache.buffers.grad
+        g.flat -= t_cfg.lr * g_cache.buffers.grad
+        history.append(EpochRecord(report.loss, report.kyfan_term, report.g_energy))
+    return f, g, history
+
+
+def forward_widths(monkeypatch):
+    """Record the column count of every ``neural.forward`` call."""
+    widths = []
+    real_forward = neural.forward
+
+    def spy(p, x_batch, *args, **kwargs):
+        widths.append(np.shape(x_batch)[1])
+        return real_forward(p, x_batch, *args, **kwargs)
+
+    monkeypatch.setattr(neural, "forward", spy)
+    return widths
+
+
+#: Full-batch GD, 30 epochs, on 3-bit BSC or scalar gaussian data.
+FULL_BATCH = (
+    MlpConfig((3, 16, 3), init_seed=1),
+    MlpConfig((3, 16, 3), init_seed=2),
+    TrainConfig(epochs=30, optimizer="gd", lr=0.05),
+)
+#: float32 rounding where only the order of a sum changed: about 8 ulps
+#: of float32 (eps 1.2e-7).  The runs differ by at most 6e-8 here.
+FLOAT32_RTOL = 1e-6
+
+
+def assert_runs_agree(run, ref):
+    """Two ``(f, g, history)`` training results agree to FLOAT32_RTOL."""
+    (f, g, history), (f_ref, g_ref, history_ref) = run, ref
+    terms = [[(r.loss, r.kyfan_term, r.g_energy) for r in h] for h in (history, history_ref)]
+    np.testing.assert_allclose(*terms, rtol=FLOAT32_RTOL)
+    for a, b in ((f, f_ref), (g, g_ref)):
+        np.testing.assert_allclose(a.flat, b.flat, rtol=FLOAT32_RTOL, atol=FLOAT32_RTOL)
+
+
+class TestFullBatchDistinctColumns:
+    def test_tiling_the_split_leaves_training_unchanged(self):
+        # the loss depends on the data only through its empirical
+        # distribution, which tiling the split does not change
+        data = bsc_split(3, 400)
+        x, y = data.train_arrays()
+        tiled = PairedDataset(x=np.tile(x, 2), y=np.tile(y, 2))
+        assert_runs_agree(train_ca_nn(tiled, *FULL_BATCH), train_ca_nn(data, *FULL_BATCH))
+
+    def test_bsc_nets_see_only_distinct_columns(self, monkeypatch):
+        data = bsc_split(3, 400)
+        widths = forward_widths(monkeypatch)
+        run = train_ca_nn(data, *FULL_BATCH)
+        assert len(widths) == 2 * FULL_BATCH[2].epochs
+        assert max(widths) <= 8  # 2**3 bit strings per side
+        # and the result is that of running the nets on every sample
+        assert_runs_agree(run, gd_on_every_sample(data, *FULL_BATCH))
+
+    def test_all_distinct_columns_encode_every_sample(self, monkeypatch):
+        data = scalar_dataset(300, seed=1000)
+        cfgs = (MlpConfig((1, 16, 1), init_seed=1), MlpConfig((1, 16, 1), init_seed=2),
+                FULL_BATCH[2])
+        widths = forward_widths(monkeypatch)
+        run = train_ca_nn(data, *cfgs)
+        assert widths == [300] * (2 * cfgs[2].epochs)
+        assert_runs_agree(run, gd_on_every_sample(data, *cfgs))
 
 
 class TestPrecisionContract:
