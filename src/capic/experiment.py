@@ -40,7 +40,8 @@ from .classical import ca_decompose, contingency_from_pmf, contingency_from_samp
 from .datasets import PairedDataset, Split, load_csv, one_hot_decode
 from .errors import ContractViolationError, CsvParseError
 from .fileio import (
-    csv_text, open_input, read_json_object, sha256_of_json, write_json_atomic, write_text_atomic,
+    csv_text, labelled_csv_text, open_input, read_json_object, sha256_of_json, write_json_atomic,
+    write_text_atomic,
 )
 from .model import CaNnModel, fit_ca_nn_model, load_model, save_model
 from .neural import MlpConfig, TrainConfig, evaluate_loss, forward, mlp_init
@@ -187,23 +188,28 @@ def build_dataset(dcfg: dict) -> PairedDataset:
 
 
 def read_pmf_csv(path):
-    """Joint-table CSV: header row carries y labels, first column x labels."""
+    """Joint-table CSV: header row carries y labels, first column x labels.
+
+    Rows are read one at a time into float64 arrays (``float()`` per
+    cell), so the file's cells are never all held as Python objects.
+    """
     with open_input(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise CsvParseError(f"{path}: file is empty", line=1)
-    y_labels = rows[0][1:]
-    if not y_labels:
-        raise CsvParseError(f"{path}: header has no y labels", line=1)
-    x_labels, table = [], []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(y_labels) + 1:
-            raise CsvParseError(f"{path}: row width mismatch", line=line_no)
-        x_labels.append(row[0])
-        try:
-            table.append([float(v) for v in row[1:]])
-        except ValueError:
-            raise CsvParseError(f"{path}: non-numeric table entry", line=line_no) from None
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise CsvParseError(f"{path}: file is empty", line=1)
+        y_labels = header[1:]
+        if not y_labels:
+            raise CsvParseError(f"{path}: header has no y labels", line=1)
+        x_labels, table = [], []
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(y_labels) + 1:
+                raise CsvParseError(f"{path}: row width mismatch", line=line_no)
+            x_labels.append(row[0])
+            try:
+                table.append(np.fromiter(map(float, row[1:]), np.float64, len(y_labels)))
+            except ValueError:
+                raise CsvParseError(f"{path}: non-numeric table entry", line=line_no) from None
     return np.asarray(table), tuple(x_labels), tuple(y_labels)
 
 
@@ -258,8 +264,7 @@ def _write_factor_table(path, first, letter, labels, points):
     Row ``i`` takes ``labels[i]``.
     """
     header = [first] + [f"{letter}{k}" for k in range(points.shape[1])]
-    rows = [[str(labels[i]), *coords] for i, coords in enumerate(points.tolist())]
-    write_text_atomic(path, csv_text(header, rows))
+    write_text_atomic(path, labelled_csv_text(csv_text(header, []), [((), labels, points)]))
 
 
 def _write_factor_tables(out, prefix, pf, labels=None):

@@ -6,6 +6,18 @@ with the same numpy/BLAS build and the same BLAS thread count
 reproduces every output byte for byte.  Across thread counts the
 floating-point reductions run in another order and the numbers can
 differ in the last digits.
+
+Two CSV writers share one format (``\n`` line ends, the csv module's
+quoting, floats by ``repr`` so they read back exactly):
+
+* :func:`csv_text` writes small tables of mixed cells (loss history,
+  scores, a factor plane's preamble) row by row through the csv module.
+* :func:`labelled_csv_text` writes the large tables: a label per row,
+  then a row of floats (factor tables, a factor plane's points).  A
+  sample table repeats a few rows many times (15000 rows, 32 distinct
+  ones on BSC-5), so it formats each byte-distinct row of floats once
+  and gathers the text per row; every row holds the same bytes a
+  ``repr`` per cell would give.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ import os
 import tempfile
 
 from .errors import ContractViolationError
+from .linalg import distinct_rows
 
 
 def _umask() -> int:
@@ -80,6 +93,49 @@ def csv_text(header, rows) -> str:
         [repr(float(cell)) if isinstance(cell, float) else cell for cell in row]
         for row in rows
     )
+    return buf.getvalue()
+
+
+def _cell(value) -> str:
+    """``str(value)`` as one CSV cell, quoted as the csv module quotes it."""
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([text])
+        return buf.getvalue()[:-1]
+    return text
+
+
+def labelled_csv_text(head: str, blocks) -> str:
+    """The text ``head`` (say, from :func:`csv_text`), then blocks of labelled float rows.
+
+    Each block is ``(lead, labels, matrix)``: row ``i`` of the 2-D
+    ``matrix`` is written as the cells of ``lead``, ``str(labels[i])``
+    and the row's values by ``repr``, the same bytes :func:`csv_text`
+    gives such a row.  ``labels`` is indexed by row, so one shorter than
+    ``matrix`` raises ``IndexError``.  Each byte-distinct row of values
+    is formatted once; when every row is distinct they are formatted row
+    by row into the one buffer.
+    """
+    buf = io.StringIO()
+    buf.write(head)
+    for lead, labels, matrix in blocks:
+        n = len(matrix)
+        if matrix.shape[1] == 0:
+            csv.writer(buf, lineterminator="\n").writerows(
+                [*lead, str(labels[i])] for i in range(n)
+            )
+            continue
+        prefix = "".join(_cell(cell) + "," for cell in lead)
+        first, inverse = distinct_rows(matrix)
+        if first.size == n:
+            for i, values in enumerate(matrix):
+                buf.write(f"{prefix}{_cell(labels[i])},{','.join(map(repr, values.tolist()))}\n")
+        else:
+            texts = [",".join(map(repr, values)) for values in matrix[first].tolist()]
+            buf.writelines(
+                f"{prefix}{_cell(labels[i])},{texts[k]}\n" for i, k in enumerate(inverse.tolist())
+            )
     return buf.getvalue()
 
 

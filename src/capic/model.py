@@ -95,22 +95,44 @@ def _params_to_doc(params: MlpParams) -> dict:
     return doc
 
 
-def _field(doc, key, where=""):
-    """``doc[key]``; a missing key raises ContractViolationError naming ``where + key``."""
+def _field(doc, key, where="", read=None):
+    """``doc[key]``, converted by ``read`` if given.
+
+    A missing key, or a value ``read`` rejects with a ``TypeError`` or
+    ``ValueError``, raises ContractViolationError naming ``where + key``.
+    """
     if not isinstance(doc, dict) or key not in doc:
         raise ContractViolationError(f"model document is missing {where}{key}")
-    return doc[key]
+    if read is None:
+        return doc[key]
+    try:
+        return read(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ContractViolationError(f"model document has a malformed {where}{key}: {exc}") from None
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
+
+
+def _ints(value) -> list:
+    return [int(k) for k in value]
 
 
 def _params_from_doc(doc, where) -> MlpParams:
+    def array(block, at):
+        shape = _field(block, "shape", at, _ints)
+        return _field(block, "data", at, lambda data: _floats(data).reshape(shape))
+
     weights, biases = (
-        [np.asarray(_field(a, "data", f"{where}{name}[{i}]."), dtype=np.float64)
-         .reshape(_field(a, "shape", f"{where}{name}[{i}]."))
-         for i, a in enumerate(_field(doc, name, where))]
+        [array(a, f"{where}{name}[{i}].") for i, a in enumerate(_field(doc, name, where, list))]
         for name in ("weights", "biases")
     )
-    keys = ("layer_widths", "activation", "init_seed")
-    cfg = MlpConfig(*(_field(doc, key, where) for key in keys))
+    cfg = MlpConfig(
+        _field(doc, "layer_widths", where, _ints),
+        _field(doc, "activation", where),
+        _field(doc, "init_seed", where),
+    )
     return MlpParams(cfg, weights, biases)
 
 
@@ -136,8 +158,8 @@ def model_from_doc(doc: dict) -> CaNnModel:
     return CaNnModel(
         f_params=f_params,
         g_params=g_params,
-        pic_diagonal=np.asarray(_field(pics, "clamped", "pics."), dtype=np.float64),
-        raw_diagonal=np.asarray(_field(pics, "raw", "pics."), dtype=np.float64),
+        pic_diagonal=_field(pics, "clamped", "pics.", _floats),
+        raw_diagonal=_field(pics, "raw", "pics.", _floats),
         loss_final=_field(doc, "loss_final"),
         kyfan_final=_field(doc, "kyfan_final"),
         metadata=doc.get("metadata", {}),

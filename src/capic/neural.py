@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, TrainingDivergedError
-from .linalg import as_matrix
+from .linalg import as_matrix, distinct_rows
 from .objective import DEFAULT_EPS, BatchOutputs, pic_loss
 
 _ACTIVATIONS = ("relu", "tanh", "identity")  # identity is a diagnostic hook
@@ -217,18 +217,12 @@ class _Encoding(NamedTuple):
 
 
 def _distinct_encoding(p: MlpParams, a) -> _Encoding:
-    """Encode the samples ``a`` through their distinct columns.
+    """Encode the samples ``a`` through their byte-distinct columns.
 
-    Columns are compared by their bytes, one void value per column: a
-    1-D sort about 7x faster than ``np.unique(a, axis=1)``, which
-    compares field by field (5 against 38 ms on the 5 x 15000 float32
-    BSC-5 split, on one Xeon core).  For finite data equal bytes are
-    equal values; 0.0 and -0.0 stay apart, which costs a column, not
-    exactness.
+    0.0 and -0.0 stay apart (see :func:`capic.linalg.distinct_rows`),
+    which costs a column, not exactness.
     """
-    rows = np.ascontiguousarray(a.T)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first, inverse = distinct_rows(a.T)
     if first.size == a.shape[1]:
         return _Encoding(a, StepBuffers(p, a.shape[1]))
     gathered = np.empty((p.config.out_width, a.shape[1]))

@@ -1,17 +1,24 @@
+import csv
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from capic import experiment, fileio
+from capic import factor_plane as fp
 from capic.classical import ca_decompose, contingency_from_pmf
 from capic.cli import main
 from capic.datasets import WINE_SCHEMA, synthetic_wine_csv
 from capic.experiment import build_dataset, evaluate_model, read_pmf_csv, run_experiment
-from capic.factor_plane import export_factor_plane, plane_from_csv, plane_to_csv
+from capic.factor_plane import FactorPlane, export_factor_plane, plane_from_csv, plane_to_csv
 from capic.fileio import dump_json
 from capic.model import fit_ca_nn_model, save_model
 from capic.neural import MlpConfig, TrainConfig
 from capic.reconstitution import classify, from_cann, prior_from_counts
+
+from test_factor_plane import reference_plane_csv, reference_points, reference_render_svg
+from test_fileio import reference_table_text
 
 
 def tiny_bsc_config(out_dir, epochs=30):
@@ -108,6 +115,93 @@ class TestRunExperiment:
             assert (out / f"plane_{i}_{j}.svg").read_bytes() == svg.encode()
             assert (out / f"plane_{i}_{j}.csv").read_bytes() == plane_to_csv(plane).encode()
 
+    def test_artifacts_are_the_per_row_text_of_the_run_outputs(self, tmp_path, monkeypatch):
+        # Every factor table, plane CSV and plane SVG of a train and an svd
+        # run equals the per-row reference text of that run's own outputs.
+        seen = {}
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name] = (args, fn(*args, **kwargs))
+                return seen[name][1]
+            monkeypatch.setattr(experiment, name, wrapper)
+
+        spy("evaluate_model", evaluate_model)
+        spy("ca_decompose", ca_decompose)
+        cfg = tiny_bsc_config(tmp_path / "train", epochs=5)
+        cfg["planes"] = [[0, 1], [1, 0]]
+        out = run_experiment(cfg)
+        texts = {}
+        for split, pf in zip(("train", "test"), seen["evaluate_model"][1]):
+            n = pf.f.shape[1]
+            texts[f"factors_x_{split}.csv"] = reference_table_text(
+                ["index", "f0", "f1"], range(n), pf.f.T)
+            texts[f"factors_y_{split}.csv"] = reference_table_text(
+                ["label", "g0", "g1"], range(n), pf.g.T)
+        train_pf = seen["evaluate_model"][1][0]
+        diag = train_pf.pic_diagonal
+        for i, j in cfg["planes"]:
+            plane = FactorPlane(
+                i, j, reference_points(train_pf.f.T, diag[i], diag[j], i, j, None),
+                reference_points(train_pf.g.T, diag[i], diag[j], i, j, None),
+                fp._ratios_from_diag(diag, i, j),
+            )
+            assert len(plane.x_points) > fp.SVG_MAX_X_LABELS
+            texts[f"plane_{i}_{j}.csv"] = reference_plane_csv(plane)
+            texts[f"plane_{i}_{j}.svg"] = reference_render_svg(plane)
+        for name, text in texts.items():
+            assert (out / name).read_bytes() == text.encode(), name
+
+        pmf_path = tmp_path / "table.csv"
+        labels = ["a,b", 'say "hi"', "two\nlines", "x&<y>", "", "plain"]
+        pmf = np.random.default_rng(5).uniform(0.1, 1.0, size=(6, 6))
+        with open(pmf_path, "w", newline="") as fh:
+            csv.writer(fh).writerows([["x\\y", *labels[::-1]], *(
+                [label, *row] for label, row in zip(labels, (pmf / pmf.sum()).tolist()))])
+        cfg = {"version": 1, "mode": "svd", "output_dir": str(tmp_path / "svd"),
+               "dataset": {"source": "pmf_csv", "path": str(pmf_path)}, "planes": [[0, 2]]}
+        out = run_experiment(cfg)
+        (table,), decomp = seen["ca_decompose"]
+        sig = decomp.sigmas
+        plane = FactorPlane(
+            0, 2, reference_points(decomp.l_factors, sig[0], sig[2], 0, 2, table.x_labels),
+            reference_points(decomp.r_factors, sig[0], sig[2], 0, 2, table.y_labels),
+            (float(decomp.score_ratios[0]), float(decomp.score_ratios[2])),
+        )
+        texts = {
+            "factors_x.csv": reference_table_text(
+                ["label", *(f"f{k}" for k in range(decomp.d))], table.x_labels, decomp.l_factors),
+            "factors_y.csv": reference_table_text(
+                ["label", *(f"g{k}" for k in range(decomp.d))], table.y_labels, decomp.r_factors),
+            "plane_0_2.csv": reference_plane_csv(plane),
+            "plane_0_2.svg": reference_render_svg(plane),
+        }
+        for name, text in texts.items():
+            assert (out / name).read_bytes() == text.encode(), name
+
+    @pytest.mark.parametrize("mode", ["train", "svd"])
+    def test_each_artifact_is_written_from_one_str(self, tmp_path, monkeypatch, mode):
+        # A traced benchmark run takes len() of the text: it must be one str.
+        calls = []
+        original = fileio.write_text_atomic
+
+        def spy(path, text):
+            calls.append(type(text))
+            return original(path, text)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("capic")]:
+            if getattr(module, "write_text_atomic", None) is original:
+                monkeypatch.setattr(module, "write_text_atomic", spy)
+        if mode == "train":
+            cfg = tiny_bsc_config(tmp_path / "run", epochs=2)
+        else:
+            pmf_path = tmp_path / "table.csv"
+            pmf_path.write_text(",u,v,w\nr1,0.2,0.05,0.05\nr2,0.05,0.2,0.1\nr3,0.1,0.05,0.2\n")
+            cfg = {"version": 1, "mode": "svd", "output_dir": str(tmp_path / "svd"),
+                   "dataset": {"source": "pmf_csv", "path": str(pmf_path)}, "planes": [[0, 1]]}
+        run_experiment(cfg)
+        assert calls == [str] * (10 if mode == "train" else 6)
+
     def test_output_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CA_OUTPUT_DIR", str(tmp_path / "envout"))
         cfg = tiny_bsc_config(tmp_path / "ignored", epochs=2)
@@ -145,6 +239,32 @@ class TestBuildDataset:
 
         with pytest.raises(CsvParseError, match="line 2"):
             read_pmf_csv(bad)
+
+    @pytest.mark.parametrize("text,message,line", [
+        ("", "file is empty", 1),
+        ("x\n", "header has no y labels", 1),
+        (",a,b\nr,0.5,0.5\ns,0.25,oops\n", "non-numeric table entry", 3),
+        (',a,b\n"r,1",0.5,0.5\ns,0.25\n', "row width mismatch", 3),
+    ])
+    def test_pmf_reader_names_the_line(self, tmp_path, text, message, line):
+        from capic.errors import CsvParseError
+
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CsvParseError, match=f"{message} \\(line {line}\\)$") as info:
+            read_pmf_csv(path)
+        assert info.value.line == line
+
+    def test_pmf_reader_parses_each_cell_with_float(self, tmp_path):
+        cells = [["0.1", "1e-300", "0.30000000000000004"], ["2.5e16", "nan", "-0.0"]]
+        path = tmp_path / "pmf.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([["", "u", "v,w", 'say "z"'], ["r\n1", *cells[0]],
+                                      ["s", *cells[1]]])
+        table, x_labels, y_labels = read_pmf_csv(path)
+        expected = np.array([[float(c) for c in row] for row in cells])
+        assert table.dtype == np.float64 and table.tobytes() == expected.tobytes()
+        assert x_labels == ("r\n1", "s") and y_labels == ("u", "v,w", 'say "z"')
 
 
 @pytest.fixture(scope="module")

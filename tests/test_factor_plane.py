@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from capic import factor_plane as fp
 from capic.classical import ca_decompose, contingency_from_pmf, contingency_from_samples
 from capic.errors import ContractViolationError, CsvParseError, UnsupportedOperationError
 from capic.factor_plane import (
@@ -9,10 +10,82 @@ from capic.factor_plane import (
     interpolate_path,
     plane_from_csv,
     plane_to_csv,
+    render_svg,
 )
+from capic.fileio import csv_text
 from capic.model import CaNnModel
 from capic.neural import MlpConfig, MlpParams
 from capic.whitening import PrincipalFunctions
+
+
+def reference_points(matrix_rows, scale_i, scale_j, i, j, labels):
+    """A plane's points by a scalar product per coordinate, the rule ``_points`` vectorizes."""
+    if labels is None:
+        labels = [str(k) for k in range(matrix_rows.shape[0])]
+    return [
+        (str(label), float(scale_i * row[i]), float(scale_j * row[j]))
+        for label, row in zip(labels, matrix_rows)
+    ]
+
+
+def reference_plane_csv(plane):
+    """The per-point plane writer: one ``csv_text`` row per point."""
+    rows = [
+        ["axes", plane.axis_i, plane.axis_j],
+        ["score_ratios", *plane.score_ratios],
+        ["role", "label", "coord_i", "coord_j"],
+    ]
+    for role, points in (("x", plane.x_points), ("y", plane.y_points)):
+        rows += [[role, *point] for point in points]
+    return csv_text([fp.PLANE_CSV_HEADER], rows)
+
+
+def reference_render_svg(plane):
+    """The per-point SVG writer: every marker and label formatted for each point."""
+    size, margin = fp.SVG_SIZE, fp.SVG_MARGIN
+    coords = [(ci, cj) for _, ci, cj in plane.x_points + plane.y_points]
+    extent = max((max(abs(a), abs(b)) for a, b in coords), default=1.0)
+    extent = max(extent * 1.12, 1e-9)
+    span = size - 2 * margin
+
+    def px(value):
+        return margin + (value + extent) / (2 * extent) * span
+
+    def py(value):
+        return size - margin - (value + extent) / (2 * extent) * span
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f"<style>{fp._SVG_STYLE}</style>",
+        f'<rect class="frame" x="{margin}" y="{margin}" width="{span}" height="{span}"/>',
+        f'<line class="axis" x1="{px(-extent):.2f}" y1="{py(0):.2f}" '
+        f'x2="{px(extent):.2f}" y2="{py(0):.2f}"/>',
+        f'<line class="axis" x1="{px(0):.2f}" y1="{py(-extent):.2f}" '
+        f'x2="{px(0):.2f}" y2="{py(extent):.2f}"/>',
+        f'<text class="lbl" x="{size / 2:.1f}" y="{size - 12}" text-anchor="middle">'
+        f"component {plane.axis_i + 1} (score ratio {plane.score_ratios[0]:.4f})</text>",
+        f'<text class="lbl" x="14" y="{size / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {size / 2:.1f})">'
+        f"component {plane.axis_j + 1} (score ratio {plane.score_ratios[1]:.4f})</text>",
+    ]
+    show_x_labels = len(plane.x_points) <= fp.SVG_MAX_X_LABELS
+    for label, ci, cj in plane.x_points:
+        out.append(f'<circle class="xpt" cx="{px(ci):.2f}" cy="{py(cj):.2f}" r="3"/>')
+        if show_x_labels:
+            out.append(
+                f'<text class="lbl" x="{px(ci) + 4:.2f}" y="{py(cj) - 4:.2f}">'
+                f"{fp._esc(label)}</text>"
+            )
+    for label, ci, cj in plane.y_points:
+        cx, cy = px(ci), py(cj)
+        out.append(
+            f'<path class="ypt" d="M {cx:.2f} {cy - 4:.2f} L {cx + 4:.2f} {cy:.2f} '
+            f'L {cx:.2f} {cy + 4:.2f} L {cx - 4:.2f} {cy:.2f} Z"/>'
+        )
+        out.append(f'<text class="lbl" x="{cx + 5:.2f}" y="{cy + 3:.2f}">{fp._esc(label)}</text>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
 
 
 def small_decomposition(seed=81):
@@ -142,6 +215,57 @@ class TestCsvTwin:
             'y,"two\nlines",0.0,2.5e+16\n'
         )
         assert plane_from_csv(plane_to_csv(plane)) == plane
+
+
+def sample_plane(n_x, n_positions, seed=87, y_points=None):
+    """A plane of ``n_x`` x points at ``n_positions`` repeated positions, as samples give."""
+    rng = np.random.default_rng(seed)
+    positions = rng.normal(size=(n_positions, 2)).tolist()
+    x = [(f"s<{k}>&", *positions[k % n_positions]) for k in range(n_x)]
+    y = [(f"c{k}", *positions[k % n_positions]) for k in range(n_positions)]
+    return FactorPlane(0, 1, x, y if y_points is None else y_points, (0.6, 0.3))
+
+
+SIGNED_ZEROS = [("a", 0.0, 0.0), ("b", -0.0, 0.0), ("c", 0.0, -0.0), ("d", 0.0, 0.0)]
+AWKWARD = [("", 0.5, -0.5), ("with,comma", 1.0, 2.0), ('with "quote"', 0.5, -0.5),
+           ("with\nnewline", 1e-17, 2.5e16), ("with\rreturn", 0.5, -0.5), ("a&b<c>", 1.0, 2.0)]
+PLANES = {
+    "50 x points, labelled": sample_plane(50, 7),
+    "51 x points, unlabelled": sample_plane(51, 7),
+    "15000 x points at 32 positions": sample_plane(15000, 32),
+    "every position distinct": sample_plane(200, 200),
+    "signed zeros": FactorPlane(0, 1, SIGNED_ZEROS, SIGNED_ZEROS[::-1], (0.5, 0.5)),
+    "awkward labels": FactorPlane(1, 3, AWKWARD, AWKWARD[::-1], (0.25, 0.125)),
+    "one point": FactorPlane(0, 1, [("only", 0.3, -0.7)], [], (1.0, 0.0)),
+    "no x points": FactorPlane(0, 1, [], [("y", 0.3, 0.2)], (0.5, 0.5)),
+    "no points": FactorPlane(0, 1, [], [], (0.0, 0.0)),
+    "nan first": FactorPlane(0, 1, [("n", float("nan"), 1.0), ("m", 2.0, 0.5)], [], (0.5, 0.5)),
+    "nan later": FactorPlane(0, 1, [("m", 2.0, 0.5), ("n", 0.1, float("nan")),
+                                    ("k", 3.0, 0.5)], [("i", float("inf"), 0.0)], (0.5, 0.5)),
+}
+
+
+class TestPointsOnceEachPosition:
+    """The plane writers give the bytes of the per-point references above."""
+
+    @pytest.mark.parametrize("name", PLANES)
+    def test_svg_bytes(self, name):
+        assert render_svg(PLANES[name]) == reference_render_svg(PLANES[name])
+
+    @pytest.mark.parametrize("name", PLANES)
+    def test_csv_bytes(self, name):
+        assert plane_to_csv(PLANES[name]) == reference_plane_csv(PLANES[name])
+
+    def test_points_are_the_scalar_products(self):
+        table, decomp = small_decomposition()
+        plane, _ = export_factor_plane(decomp, 1, 0, x_labels=table.x_labels)
+        sig = decomp.sigmas
+        assert plane.x_points == reference_points(
+            decomp.l_factors, sig[1], sig[0], 1, 0, table.x_labels
+        )
+        assert plane.y_points == reference_points(decomp.r_factors, sig[1], sig[0], 1, 0, None)
+        for _, ci, cj in plane.x_points + plane.y_points:
+            assert type(ci) is float and type(cj) is float
 
 
 def affine_model(x_kind):

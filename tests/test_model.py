@@ -51,6 +51,14 @@ class TestFitModel:
         assert model.d == 2
 
 
+def _parent(doc, path):
+    """The block holding the dotted ``path`` of a model document, and the last key."""
+    *outer, last = path.split(".")
+    for key in outer:
+        doc = doc[int(key)] if isinstance(doc, list) else doc[key]
+    return doc, last
+
+
 class TestSerialization:
     def test_round_trip_through_disk(self, tiny_model, tmp_path):
         data, model, _ = tiny_model
@@ -98,13 +106,27 @@ class TestSerialization:
     def test_missing_key_is_named(self, tiny_model, path, named):
         _, model, _ = tiny_model
         doc = model_to_doc(model)
-        *outer, last = path.split(".")
-        block = doc
-        for key in outer:
-            block = block[int(key)] if isinstance(block, list) else block[key]
+        block, last = _parent(doc, path)
         del block[last]
         with pytest.raises(ContractViolationError,
                            match=f"^model document is missing {re.escape(named)}$"):
+            model_from_doc(doc)
+
+    @pytest.mark.parametrize("path,value,named", [
+        ("f_net.weights", 5, "f_net.weights"),
+        ("g_net.layer_widths", 5, "g_net.layer_widths"),
+        ("f_net.weights.1.data", [0.5], "f_net.weights[1].data"),
+        ("g_net.biases.0.shape", "x", "g_net.biases[0].shape"),
+        ("f_net.layer_widths", [2, "wide", 2], "f_net.layer_widths"),
+        ("pics.raw", "x", "pics.raw"),
+    ])
+    def test_malformed_value_is_named(self, tiny_model, path, value, named):
+        _, model, _ = tiny_model
+        doc = model_to_doc(model)
+        block, last = _parent(doc, path)
+        block[last] = value
+        with pytest.raises(ContractViolationError,
+                           match=f"^model document has a malformed {re.escape(named)}: "):
             model_from_doc(doc)
 
     def test_eval_of_a_model_without_nets_exits_2(self, tmp_path, capsys):
