@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -94,11 +95,12 @@ def one_hot_encode(values, labels=None):
     if labels is None:
         labels = tuple(sorted(set(values)))
     index = {l: i for i, l in enumerate(labels)}
+    rows = np.fromiter(map(index.get, values, repeat(-1)), np.intp, len(values))
+    missing = rows < 0
+    if missing.any():
+        raise ContractViolationError(f"value {values[int(missing.argmax())]!r} not in label set")
     mat = np.zeros((len(labels), len(values)))
-    for j, v in enumerate(values):
-        if v not in index:
-            raise ContractViolationError(f"value {v!r} not in label set")
-        mat[index[v], j] = 1.0
+    mat[rows, np.arange(len(values))] = 1.0
     return mat, tuple(labels)
 
 

@@ -202,7 +202,8 @@ def read_pmf_csv(path):
         if not y_labels:
             raise CsvParseError(f"{path}: header has no y labels", line=1)
         x_labels, table = [], []
-        for line_no, row in enumerate(reader, start=2):
+        line_no = reader.line_num + 1  # the physical line the next row starts on
+        for row in reader:
             if len(row) != len(y_labels) + 1:
                 raise CsvParseError(f"{path}: row width mismatch", line=line_no)
             x_labels.append(row[0])
@@ -210,6 +211,7 @@ def read_pmf_csv(path):
                 table.append(np.fromiter(map(float, row[1:]), np.float64, len(y_labels)))
             except ValueError:
                 raise CsvParseError(f"{path}: non-numeric table entry", line=line_no) from None
+            line_no = reader.line_num + 1
     return np.asarray(table), tuple(x_labels), tuple(y_labels)
 
 

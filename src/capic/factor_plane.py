@@ -59,9 +59,13 @@ def _ratios_from_diag(diag, i, j):
     return (float(weights[i] / total), float(weights[j] / total))
 
 
-def _points(matrix_rows, scale_i, scale_j, i, j, labels):
+def _points(matrix_rows, scale_i, scale_j, i, j, labels, side):
     if labels is None:
         labels = range(matrix_rows.shape[0])
+    elif len(labels) != matrix_rows.shape[0]:
+        raise ContractViolationError(
+            f"{side} has {len(labels)} labels for {matrix_rows.shape[0]} points"
+        )
     coords_i, coords_j = (matrix_rows[:, [i, j]] * np.array([scale_i, scale_j])).T.tolist()
     return list(zip(map(str, labels), coords_i, coords_j))
 
@@ -94,17 +98,17 @@ def export_factor_plane(source, i, j, x_labels=None, y_labels=None, y_points=Non
         if not (0 <= i < d and 0 <= j < d):
             raise ContractViolationError(f"axes ({i}, {j}) out of range for d={d}")
         sig = source.sigmas
-        xp = _points(source.l_factors, sig[i], sig[j], i, j, x_labels)
-        yp = _points(source.r_factors, sig[i], sig[j], i, j, y_labels)
+        xp = _points(source.l_factors, sig[i], sig[j], i, j, x_labels, "x")
+        yp = _points(source.r_factors, sig[i], sig[j], i, j, y_labels, "y")
         ratios = (float(source.score_ratios[i]), float(source.score_ratios[j]))
     elif isinstance(source, PrincipalFunctions):
         d = source.f.shape[0]
         if not (0 <= i < d and 0 <= j < d):
             raise ContractViolationError(f"axes ({i}, {j}) out of range for d={d}")
         diag = source.pic_diagonal
-        xp = _points(source.f.T, diag[i], diag[j], i, j, x_labels)
+        xp = _points(source.f.T, diag[i], diag[j], i, j, x_labels, "x")
         y_mat = source.g if y_points is None else np.asarray(y_points, dtype=np.float64)
-        yp = _points(y_mat.T, diag[i], diag[j], i, j, y_labels)
+        yp = _points(y_mat.T, diag[i], diag[j], i, j, y_labels, "y")
         ratios = _ratios_from_diag(diag, i, j)
     else:
         raise ContractViolationError(f"cannot plot a {type(source).__name__}")

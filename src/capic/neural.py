@@ -15,18 +15,22 @@ in float64.  The trained weights come back as float64 copies;
 whitening, evaluation and the saved model run in float64 on those.
 
 Full-batch encoding: the loss depends on the data only through the
-empirical joint distribution of (X, Y), so a full-batch step runs each
-net once per *distinct* column of its side of the training split (32
-per side on BSC-5, against 15000 samples), gathers those outputs back
-to the n samples for :func:`~capic.objective.pic_loss`, and sums the
-samples' output gradients within each column's group before
-:func:`backward`.  That is the exact gradient: the hidden deltas are
-linear in the output delta and equal within a group, so summing first
-changes only rounding.  A side whose columns are all distinct
-(continuous data) is encoded as it is, with no gather.  Mini-batches
-keep the plain per-sample path: a batch of 64 holds few repeats, and
-the fixed per-step cost of the gather and the sums outweighs the
-smaller products.
+empirical joint distribution of (X, Y), so a full-batch step takes it
+over the distinct (x, y) pairs of the training split, weighted by their
+counts over n (at most 1024 pairs on BSC-5, against 15000 samples).
+Each net runs once per distinct column of its side (32 on BSC-5), the
+outputs are gathered to the pairs for the weighted
+:func:`~capic.objective.pic_loss`, and the pairs' output gradients are
+summed per column before :func:`backward`.  That is the exact gradient
+of the n-sample loss: the hidden deltas are linear in the output delta,
+so summing first changes only rounding, and nothing in the step scales
+with n.  When no pair repeats (continuous data) or there are fewer
+pairs than output components, the loss runs unweighted on the n
+samples, gathered from each side's distinct columns (a side whose
+columns are all distinct is encoded as it is).  Mini-batches keep the
+plain per-sample path: a batch of 64 holds few repeats, and the fixed
+per-step cost of the gather and the sums outweighs the smaller
+products.
 """
 
 from __future__ import annotations
@@ -192,9 +196,10 @@ class ForwardCache(NamedTuple):
 class _Encoding(NamedTuple):
     """What one step feeds a net: the input columns and their buffers.
 
-    ``inverse`` maps the batch's samples to the columns (sample ``i`` is
-    column ``inverse[i]``), or is None when the columns are the batch.
-    ``gathered`` holds the d x n float64 outputs the loss sees.
+    ``inverse`` maps the loss's columns (samples or pairs) to the input
+    columns (loss column ``i`` is input column ``inverse[i]``), or is
+    None when the input columns are the loss's.  ``gathered`` holds the
+    float64 outputs the loss sees.
     """
 
     columns: np.ndarray
@@ -203,30 +208,45 @@ class _Encoding(NamedTuple):
     gathered: np.ndarray | None = None
 
     def gather(self, out):
-        """The batch's d x n outputs, from the outputs of the columns."""
+        """The loss's outputs, from the outputs of the input columns."""
         if self.inverse is None:
             return out
         return np.take(out.astype(np.float64), self.inverse, axis=1, out=self.gathered)
 
     def group_sum(self, grad):
-        """The gradient at the columns: the samples' gradients summed per column."""
+        """The gradient at the input columns: the loss columns' gradients summed per column."""
         if self.inverse is None:
             return grad
         width = self.columns.shape[1]
         return np.stack([np.bincount(self.inverse, weights=row, minlength=width) for row in grad])
 
 
-def _distinct_encoding(p: MlpParams, a) -> _Encoding:
-    """Encode the samples ``a`` through their byte-distinct columns.
-
-    0.0 and -0.0 stay apart (see :func:`capic.linalg.distinct_rows`),
-    which costs a column, not exactness.
-    """
-    first, inverse = distinct_rows(a.T)
+def _side_encoding(p: MlpParams, a, first, inverse) -> _Encoding:
+    """Encode the samples ``a`` through their distinct columns ``a[:, first]``."""
     if first.size == a.shape[1]:
         return _Encoding(a, StepBuffers(p, a.shape[1]))
-    gathered = np.empty((p.config.out_width, a.shape[1]))
+    gathered = np.empty((p.config.out_width, inverse.size))
     return _Encoding(a[:, first], StepBuffers(p, first.size), inverse, gathered)
+
+
+def _full_batch_encodings(f: MlpParams, g: MlpParams, x, y):
+    """``(f_enc, g_enc, weights)`` for a full-batch step on the split ``(x, y)``.
+
+    Columns are byte-distinct (see :func:`capic.linalg.distinct_rows`:
+    0.0 and -0.0 stay apart, which costs a column, not exactness).  The
+    loss runs on the distinct (x, y) pairs with ``weights`` their counts
+    over n, or on the n samples with ``weights`` None when no pair
+    repeats or there are fewer pairs than output components.
+    """
+    n = x.shape[1]
+    x_first, x_inv = distinct_rows(x.T)
+    y_first, y_inv = distinct_rows(y.T)
+    pairs, counts = np.unique(x_inv * y_first.size + y_inv, return_counts=True)
+    weights = None
+    if f.config.out_width <= pairs.size < n:
+        x_inv, y_inv = np.divmod(pairs, y_first.size)
+        weights = counts / n
+    return _side_encoding(f, x, x_first, x_inv), _side_encoding(g, y, y_first, y_inv), weights
 
 
 def _activate(z, kind):
@@ -401,9 +421,10 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
 
     Training runs in float32 (see the module docstring); the returned
     params are float64 copies of the trained float32 values.  A
-    full-batch step encodes each distinct input column once, with the
-    exact gradient of the n-sample loss (see the module docstring);
-    mini-batch steps encode every sample of the batch.
+    full-batch step encodes each distinct input column once and takes
+    the loss over the distinct (x, y) pairs weighted by their counts,
+    with the exact gradient of the n-sample loss (see the module
+    docstring); mini-batch steps encode every sample of the batch.
 
     Raises :class:`TrainingDivergedError` with the offending epoch index
     as soon as the encoder outputs, the loss or the gradients stop being
@@ -427,8 +448,9 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
         y = np.ascontiguousarray(y, dtype=np.float32)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ContractViolationError("training data exceeds the float32 range")
+    weights = None
     if t_cfg.batch_size == "full":
-        f_full, g_full = _distinct_encoding(f, x), _distinct_encoding(g, y)
+        f_full, g_full, weights = _full_batch_encodings(f, g, x, y)
     f_pool, g_pool = {}, {}  # mini-batch width -> StepBuffers
     opt = _make_optimizer(t_cfg)
     rng = np.random.default_rng(t_cfg.seed)
@@ -465,6 +487,7 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
                     report = pic_loss(
                         BatchOutputs(f_enc.gather(f_out), g_enc.gather(g_out)),
                         eps=t_cfg.loss_eps,
+                        weights=weights,
                     )
                     if not np.isfinite(report.loss):
                         raise TrainingDivergedError(

@@ -111,6 +111,24 @@ class TestOneHot:
         mat, _ = one_hot_encode([1, 2, 2, 3])
         np.testing.assert_allclose(mat.sum(axis=0), 1.0)
 
+    def test_given_labels_set_one_entry_per_column(self):
+        values = ["b", "c", "b", "a", "c"]
+        labels = ("c", "a", "b")
+        mat, out_labels = one_hot_encode(iter(values), labels)
+        expected = np.zeros((3, 5))
+        for j, v in enumerate(values):
+            expected[labels.index(v), j] = 1.0
+        assert out_labels == labels
+        assert mat.dtype == np.float64 and np.array_equal(mat, expected)
+
+    def test_unknown_value_named(self):
+        with pytest.raises(ContractViolationError, match="value 'z' not in label set"):
+            one_hot_encode(["a", "z", "y"], ("a", "b"))
+
+    def test_no_values(self):
+        mat, labels = one_hot_encode([])
+        assert mat.shape == (0, 0) and labels == ()
+
     def test_paired_dataset_validates_onehot(self):
         with pytest.raises(ContractViolationError):
             PairedDataset(

@@ -245,6 +245,9 @@ class TestBuildDataset:
         ("x\n", "header has no y labels", 1),
         (",a,b\nr,0.5,0.5\ns,0.25,oops\n", "non-numeric table entry", 3),
         (',a,b\n"r,1",0.5,0.5\ns,0.25\n', "row width mismatch", 3),
+        # a quoted label holding a newline: the next row starts on line 4
+        (',a,b\n"r\n1",0.5,0.5\ns,0.25\n', "row width mismatch", 4),
+        (',a,b\n"r\n1",0.5,0.5\n"s\n\n2",0.25,oops\n', "non-numeric table entry", 4),
     ])
     def test_pmf_reader_names_the_line(self, tmp_path, text, message, line):
         from capic.errors import CsvParseError

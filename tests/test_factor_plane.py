@@ -137,6 +137,21 @@ class TestExport:
         with pytest.raises(ContractViolationError):
             export_factor_plane(decomp, 0, 5)
 
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_label_count_must_match_points(self, side):
+        table, decomp = small_decomposition()  # 4 x points, 3 y points
+        labels = {"x_labels": table.x_labels, "y_labels": table.y_labels}
+        labels[f"{side}_labels"] = ["a"]
+        points = {"x": 4, "y": 3}[side]
+        with pytest.raises(ContractViolationError, match=f"{side} has 1 labels for {points} points"):
+            export_factor_plane(decomp, 0, 1, **labels)
+
+    def test_principal_functions_label_count_must_match(self):
+        pf = PrincipalFunctions(f=np.eye(2), g=np.eye(2), pic_diagonal=np.ones(2),
+                                raw_diagonal=np.ones(2))
+        with pytest.raises(ContractViolationError, match="y has 3 labels for 4 points"):
+            export_factor_plane(pf, 0, 1, y_points=np.ones((2, 4)), y_labels=["a", "b", "c"])
+
     def test_independent_samples_fall_near_origin(self):
         # categorical samples of two independent uniform trits: all
         # principal coordinates should sit within sampling noise of the

@@ -289,8 +289,8 @@ class TestTraining:
             )
 
 
-def bsc_split(n_bits, n, seed=0):
-    return build_dataset({"source": "bsc", "n_bits": n_bits, "delta": 0.1,
+def bsc_split(n_bits, n, seed=0, delta=0.1):
+    return build_dataset({"source": "bsc", "n_bits": n_bits, "delta": delta,
                           "n_samples": n, "seed": seed})
 
 
@@ -330,6 +330,19 @@ def forward_widths(monkeypatch):
     return widths
 
 
+def pic_loss_calls(monkeypatch):
+    """Record ``(columns, weights)`` of every ``pic_loss`` call of the training loop."""
+    calls = []
+    real_pic_loss = neural.pic_loss
+
+    def spy(b, *args, **kwargs):
+        calls.append((b.n, kwargs.get("weights")))
+        return real_pic_loss(b, *args, **kwargs)
+
+    monkeypatch.setattr(neural, "pic_loss", spy)
+    return calls
+
+
 #: Full-batch GD, 30 epochs, on 3-bit BSC or scalar gaussian data.
 FULL_BATCH = (
     MlpConfig((3, 16, 3), init_seed=1),
@@ -353,11 +366,16 @@ def assert_runs_agree(run, ref):
 class TestFullBatchDistinctColumns:
     def test_tiling_the_split_leaves_training_unchanged(self):
         # the loss depends on the data only through its empirical
-        # distribution, which tiling the split does not change
+        # distribution, which tiling the split does not change: the pairs
+        # and their weights (2c / 2n rounds as c / n) are the same, so
+        # the runs are bit-identical
         data = bsc_split(3, 400)
         x, y = data.train_arrays()
         tiled = PairedDataset(x=np.tile(x, 2), y=np.tile(y, 2))
-        assert_runs_agree(train_ca_nn(tiled, *FULL_BATCH), train_ca_nn(data, *FULL_BATCH))
+        run, ref = train_ca_nn(tiled, *FULL_BATCH), train_ca_nn(data, *FULL_BATCH)
+        assert [r.loss for r in run[2]] == [r.loss for r in ref[2]]
+        for a, b in zip(run[:2], ref[:2]):
+            assert np.array_equal(a.flat, b.flat)
 
     def test_bsc_nets_see_only_distinct_columns(self, monkeypatch):
         data = bsc_split(3, 400)
@@ -373,9 +391,37 @@ class TestFullBatchDistinctColumns:
         cfgs = (MlpConfig((1, 16, 1), init_seed=1), MlpConfig((1, 16, 1), init_seed=2),
                 FULL_BATCH[2])
         widths = forward_widths(monkeypatch)
+        calls = pic_loss_calls(monkeypatch)
         run = train_ca_nn(data, *cfgs)
         assert widths == [300] * (2 * cfgs[2].epochs)
+        # no pair repeats, so the loss runs unweighted on the samples
+        assert calls == [(300, None)] * cfgs[2].epochs
         assert_runs_agree(run, gd_on_every_sample(data, *cfgs))
+
+    def test_fewer_pairs_than_components_keep_the_samples(self, monkeypatch):
+        # two distinct (x, y) pairs for three output components
+        x = np.random.default_rng(1100).integers(0, 2, size=(1, 200)).astype(float)
+        data = PairedDataset(x=x, y=x.copy())
+        cfgs = (MlpConfig((1, 8, 3), init_seed=1), MlpConfig((1, 8, 3), init_seed=2),
+                TrainConfig(epochs=5, optimizer="gd", lr=0.05))
+        widths = forward_widths(monkeypatch)
+        calls = pic_loss_calls(monkeypatch)
+        run = train_ca_nn(data, *cfgs)
+        assert widths == [2] * (2 * cfgs[2].epochs)
+        assert calls == [(200, None)] * cfgs[2].epochs
+        assert_runs_agree(run, gd_on_every_sample(data, *cfgs))
+
+    def test_loss_columns_do_not_scale_with_n(self, monkeypatch):
+        # a structural guard: the loss sees the distinct (x, y) pairs of
+        # the split, 2**3 * 2**3 on BSC-3 at every n.  At delta 0.4 the
+        # rarest pair has probability 0.008, and both splits hold all 64.
+        for n in (400, 4000):
+            calls = pic_loss_calls(monkeypatch)
+            train_ca_nn(bsc_split(3, n, delta=0.4), *FULL_BATCH)
+            assert len(calls) == FULL_BATCH[2].epochs  # one call per step
+            for columns, weights in calls:
+                assert columns == 64 and weights.shape == (64,)
+                assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPrecisionContract:
