@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    ContractViolationError,
-    DegenerateCategoryError,
-    EmptyDatasetError,
-)
+from .errors import CapacityError, ContractViolationError, EmptyDatasetError
 from .linalg import as_matrix, svd
 
 #: Largest supported joint alphabet for the exact oracle path.
@@ -115,13 +110,12 @@ def _drop_zero_marginals(table, x_labels, y_labels):
     return table, x_labels, y_labels, dropped_x, dropped_y
 
 
-def contingency_from_samples(xs, ys, smoothing: float = 0.0) -> ContingencyTable:
-    """Count paired categorical samples into a normalized table.
+def contingency_from_samples(xs, ys) -> ContingencyTable:
+    """Count paired categorical samples into a table of relative frequencies.
 
     Labels are sorted lexicographically so the row/column order (and
-    everything downstream) is deterministic.  ``smoothing`` adds that
-    many pseudo-counts to every cell before normalizing; the default 0
-    matches plain relative frequencies.
+    everything downstream) is deterministic.  Every label is observed,
+    so no category is dropped.
     """
     xs = list(xs)
     ys = list(ys)
@@ -129,17 +123,13 @@ def contingency_from_samples(xs, ys, smoothing: float = 0.0) -> ContingencyTable
         raise ContractViolationError(f"got {len(xs)} x samples but {len(ys)} y samples")
     if not xs:
         raise EmptyDatasetError("cannot build a contingency table from zero samples")
-    if smoothing < 0:
-        raise ContractViolationError("smoothing must be >= 0")
     x_labels = tuple(sorted(set(xs)))
     y_labels = tuple(sorted(set(ys)))
     xi = {l: i for i, l in enumerate(x_labels)}
     yi = {l: i for i, l in enumerate(y_labels)}
-    counts = np.full((len(x_labels), len(y_labels)), float(smoothing))
+    counts = np.zeros((len(x_labels), len(y_labels)))
     np.add.at(counts, ([xi[x] for x in xs], [yi[y] for y in ys]), 1.0)
-    table = counts / counts.sum()
-    table, x_labels, y_labels, dx, dy = _drop_zero_marginals(table, x_labels, y_labels)
-    return ContingencyTable(table, x_labels, y_labels, dx, dy)
+    return ContingencyTable(counts / counts.sum(), x_labels, y_labels)
 
 
 def contingency_from_pmf(pmf, x_labels=None, y_labels=None) -> ContingencyTable:
@@ -171,13 +161,10 @@ def q_matrix(t: ContingencyTable) -> np.ndarray:
 
     Entry (i, j) is ``(p(i,j) - px(i) py(j)) / sqrt(px(i) py(j))``.  All
     its singular values lie in [0, 1]; it is the zero matrix exactly
-    when the two variables are independent.
+    when the two variables are independent.  The marginals are positive:
+    :class:`ContingencyTable` rejects an all-zero row or column.
     """
-    px = t.marginals_x
-    py = t.marginals_y
-    if float(px.min()) <= 0 or float(py.min()) <= 0:
-        raise DegenerateCategoryError("zero marginal survived table construction")
-    expected = np.outer(px, py)
+    expected = np.outer(t.marginals_x, t.marginals_y)
     return (t.table - expected) / np.sqrt(expected)
 
 

@@ -29,10 +29,6 @@ class SingularCovarianceError(NumericFailureError):
     """A covariance matrix is singular where an inverse is required."""
 
 
-class DegenerateCategoryError(CaError):
-    """A category with zero marginal probability reached a division."""
-
-
 class DegenerateEmbeddingError(CaError):
     """Encoder outputs collapsed to a rank-deficient covariance."""
 

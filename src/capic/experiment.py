@@ -24,6 +24,16 @@ document deterministically (dataset S, f_net S+1, g_net S+2, train
 S+3).  Artifacts carry the hash of the resolved config and contain no
 timestamps, so a rerun with the same numpy/BLAS build and the same BLAS
 thread count reproduces them byte for byte (see :mod:`capic.fileio`).
+
+Repeated columns: on discrete data a split holds a few distinct x and y
+columns many times over (32 of each in 15000 BSC-5 samples).  A train
+run finds them once per split side (:func:`capic.neural.column_codes`)
+and hands the codes to the full-batch step, to the initial loss, to the
+folded nets' training-split pass and to :func:`evaluate_model`, which
+then run the nets once per distinct column.  The principal functions
+carry the codes on to the factor tables and planes, which format each
+distinct row once.  ``ca eval`` and ``ca plane`` find the codes of the
+dataset they evaluate the same way, so they give the run's bytes.
 """
 
 from __future__ import annotations
@@ -44,7 +54,9 @@ from .fileio import (
     write_text_atomic,
 )
 from .model import CaNnModel, fit_ca_nn_model, load_model, save_model
-from .neural import MlpConfig, TrainConfig, evaluate_loss, forward, mlp_init
+from .neural import (
+    MlpConfig, TrainConfig, column_codes, encode, evaluate_loss, forward, gather_codes, mlp_init,
+)
 from .oracles import (
     BscSpec,
     GaussianPairSpec,
@@ -235,14 +247,40 @@ def _train_config(tcfg: dict) -> TrainConfig:
     return TrainConfig(**_read(tcfg, "train.", _TRAIN_KEYS, required=("epochs",), closed=True))
 
 
-def evaluate_model(model: CaNnModel, data: PairedDataset):
-    """The nets' outputs on the train and (if any, else None) test split, with diagonals."""
+def _split_codes(data: PairedDataset):
+    """The :class:`~capic.neural.ColumnCodes` of the x and y columns of each split.
 
-    def principal(x, y):
-        return principal_functions(forward(model.f_params, x)[0], forward(model.g_params, y)[0])
+    ``(train, test)``, each an ``(x_codes, y_codes)`` pair; ``test`` is
+    None without a test split.  One sort per side: the codes are what a
+    run hands to training, evaluation and the artifact writers.
+    """
+    return tuple(
+        None if arrays is None else tuple(map(column_codes, arrays))
+        for arrays in (data.train_arrays(), data.test_arrays())
+    )
 
-    test = data.test_arrays()
-    return principal(*data.train_arrays()), None if test is None else principal(*test)
+
+def evaluate_model(model: CaNnModel, data: PairedDataset, codes=(None, None)):
+    """The nets' outputs on the train and (if any, else None) test split, with diagonals.
+
+    ``codes`` is ``(train, test)`` as :func:`_split_codes` gives it, or
+    Nones.  A side whose codes :func:`~capic.neural.gather_codes` keeps is
+    forwarded once per distinct column and gathered back to the samples
+    (:func:`~capic.neural.encode`), and its principal functions carry the
+    codes on to the artifact writers.  Without codes every sample is
+    forwarded, and nothing is sorted to find repeats.
+    """
+
+    def principal(arrays, side_codes):
+        if arrays is None:
+            return None
+        x_codes, y_codes = map(gather_codes, side_codes or (None, None))
+        return principal_functions(
+            encode(model.f_params, arrays[0], x_codes), encode(model.g_params, arrays[1], y_codes),
+            x_codes, y_codes,
+        )
+
+    return principal(data.train_arrays(), codes[0]), principal(data.test_arrays(), codes[1])
 
 
 def _category_points(model: CaNnModel, data: PairedDataset):
@@ -260,21 +298,26 @@ def _write_planes(out, source, planes, **export_kw):
         write_text_atomic(out / f"plane_{i}_{j}.csv", fp.plane_to_csv(plane))
 
 
-def _write_factor_table(path, first, letter, labels, points):
+def _write_factor_table(path, first, letter, labels, points, codes=None):
     """One row per point (a row of ``points``): its label, then its coordinates.
 
-    Row ``i`` takes ``labels[i]``.
+    Row ``i`` takes ``labels[i]``.  With ``codes`` the rows of ``points``
+    repeat as the codes say, and each distinct row is formatted once.
     """
     header = [first] + [f"{letter}{k}" for k in range(points.shape[1])]
-    write_text_atomic(path, labelled_csv_text(csv_text(header, []), [((), labels, points)]))
+    block = ((), labels, points, None) if codes is None else (
+        (), labels, points[codes.first], codes.inverse)
+    write_text_atomic(path, labelled_csv_text(csv_text(header, []), [block]))
 
 
 def _write_factor_tables(out, prefix, pf, labels=None):
     samples = range(pf.f.shape[1])
-    _write_factor_table(out / f"factors_x_{prefix}.csv", "index", "f", samples, pf.f.T)
+    _write_factor_table(
+        out / f"factors_x_{prefix}.csv", "index", "f", samples, pf.f.T, pf.x_codes
+    )
     _write_factor_table(
         out / f"factors_y_{prefix}.csv", "label", "g",
-        samples if labels is None else labels, pf.g.T,
+        samples if labels is None else labels, pf.g.T, pf.y_codes,
     )
 
 
@@ -340,14 +383,17 @@ def _run_train(cfg, out, cfg_hash):
     g_cfg = _mlp_config(blocks.get("g_net", {}), "g_net.", data.y.shape[0], d)
     t_cfg = _train_config(blocks.get("train", {}))
 
+    codes = _split_codes(data)
     x_tr, y_tr = data.train_arrays()
-    initial = evaluate_loss(mlp_init(f_cfg), mlp_init(g_cfg), x_tr, y_tr, eps=t_cfg.loss_eps)
+    initial = evaluate_loss(
+        mlp_init(f_cfg), mlp_init(g_cfg), x_tr, y_tr, eps=t_cfg.loss_eps, codes=codes[0]
+    )
     model, history = fit_ca_nn_model(
-        data, f_cfg, g_cfg, t_cfg, metadata={"config_hash": cfg_hash, "d": d}
+        data, f_cfg, g_cfg, t_cfg, metadata={"config_hash": cfg_hash, "d": d}, codes=codes[0]
     )
     save_model(model, out / "model.json")
 
-    train_pf, test_pf = evaluate_model(model, data)
+    train_pf, test_pf = evaluate_model(model, data, codes)
     report = {
         "config_hash": cfg_hash,
         "train": _diag_doc(train_pf),
@@ -375,7 +421,7 @@ def _evaluate_saved(model_path, config, seed, out_dir):
     cfg, out = _prepare(config, seed, out_dir)
     model = load_model(model_path)
     data = build_dataset(_read(cfg, "", _TOP_KEYS, required=("dataset",))["dataset"])
-    return (cfg, out, model, data, *evaluate_model(model, data))
+    return (cfg, out, model, data, *evaluate_model(model, data, _split_codes(data)))
 
 
 def run_eval(model_path, config, seed=None, out_dir=None) -> Path:

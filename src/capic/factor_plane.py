@@ -8,19 +8,22 @@ same bytes.
 
 A plane of a trained model has a point per sample, and on categorical
 data those repeat a few positions many times (15000 x points at 32
-positions on BSC-5).  So both writers print each byte-distinct
-``(coord_i, coord_j)`` once: :func:`plane_to_csv` through
+positions on BSC-5).  The writers do not look for the repeats: a plane
+exported from principal functions that carry column codes (see
+:mod:`capic.neural`) keeps them, and both writers then print each coded
+position once: :func:`plane_to_csv` through
 :func:`capic.fileio.labelled_csv_text`, and :func:`render_svg` by
-formatting each distinct position's marker and label prefix once and
-appending each point's own label.  Either gives the bytes a per-point
-loop would.
+formatting each position's marker and label prefix once and appending
+each point's own label.  A plane without codes (svd mode, a parsed
+plane, category points) is written point by point.  Either gives the
+bytes a per-point loop would.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 
@@ -29,7 +32,6 @@ import numpy as np
 from .classical import CaDecomposition
 from .errors import ContractViolationError, CsvParseError, UnsupportedOperationError
 from .fileio import csv_text, labelled_csv_text
-from .linalg import distinct_rows
 from .neural import forward
 from .whitening import PrincipalFunctions
 
@@ -44,11 +46,20 @@ SVG_MAX_X_LABELS = 50
 
 @dataclass
 class FactorPlane:
+    """Two components of both variables' points.
+
+    ``x_codes``/``y_codes`` are the :class:`capic.neural.ColumnCodes` of
+    the samples behind the points, when points with one code share their
+    coordinates exactly; else None.
+    """
+
     axis_i: int
     axis_j: int
     x_points: list  # (label, coord_i, coord_j)
     y_points: list
     score_ratios: tuple  # share of total inertia on each axis
+    x_codes: object = field(default=None, compare=False, repr=False)
+    y_codes: object = field(default=None, compare=False, repr=False)
 
 
 def _ratios_from_diag(diag, i, j):
@@ -76,11 +87,15 @@ def _coords(points) -> np.ndarray:
     return np.fromiter(values, np.float64, 2 * len(points)).reshape(-1, 2)
 
 
-def _positions(points):
-    """The byte-distinct ``(coord_i, coord_j)`` of ``points``, and each point's index into them."""
-    coords = _coords(points)
-    first, inverse = distinct_rows(coords)
-    return coords[first].tolist(), inverse.tolist()
+def _positions(points, codes):
+    """``(coords, inverse)``: the positions to format, and each point's index into them.
+
+    With ``codes``, one position per code (its first point's) and the
+    points' codes; else every point's position and None.
+    """
+    if codes is None:
+        return _coords(points), None
+    return _coords([points[k] for k in codes.first.tolist()]), codes.inverse
 
 
 def export_factor_plane(source, i, j, x_labels=None, y_labels=None, y_points=None):
@@ -89,10 +104,12 @@ def export_factor_plane(source, i, j, x_labels=None, y_labels=None, y_points=Non
     ``source`` is a :class:`CaDecomposition` (categories as points) or
     a :class:`PrincipalFunctions` (samples as points; ``y_points`` may
     supply a d x k matrix of per-category coordinates to plot instead
-    of per-sample ones).
+    of per-sample ones).  The plane keeps the column codes of the
+    principal functions' per-sample points.
     """
     if i == j:
         raise ContractViolationError("plane axes must differ")
+    codes = (None, None)
     if isinstance(source, CaDecomposition):
         d = source.d
         if not (0 <= i < d and 0 <= j < d):
@@ -110,9 +127,10 @@ def export_factor_plane(source, i, j, x_labels=None, y_labels=None, y_points=Non
         y_mat = source.g if y_points is None else np.asarray(y_points, dtype=np.float64)
         yp = _points(y_mat.T, diag[i], diag[j], i, j, y_labels, "y")
         ratios = _ratios_from_diag(diag, i, j)
+        codes = (source.x_codes, source.y_codes if y_points is None else None)
     else:
         raise ContractViolationError(f"cannot plot a {type(source).__name__}")
-    plane = FactorPlane(axis_i=i, axis_j=j, x_points=xp, y_points=yp, score_ratios=ratios)
+    plane = FactorPlane(i, j, xp, yp, ratios, *codes)
     return plane, render_svg(plane)
 
 
@@ -128,8 +146,9 @@ def plane_to_csv(plane: FactorPlane) -> str:
         ["role", "label", "coord_i", "coord_j"],
     ])
     return labelled_csv_text(head, [
-        ((role,), [label for label, _, _ in points], _coords(points))
-        for role, points in (("x", plane.x_points), ("y", plane.y_points))
+        ((role,), [label for label, _, _ in points], *_positions(points, codes))
+        for role, points, codes in (("x", plane.x_points, plane.x_codes),
+                                    ("y", plane.y_points, plane.y_codes))
     ])
 
 
@@ -184,8 +203,8 @@ def render_svg(plane: FactorPlane) -> str:
     points as labelled diamonds.  Axis captions carry the score ratios.
     """
     size, margin = SVG_SIZE, SVG_MARGIN
-    x_rows, x_index = _positions(plane.x_points)
-    y_rows, y_index = _positions(plane.y_points)
+    x_rows, x_index = _marks_at(plane.x_points, plane.x_codes)
+    y_rows, y_index = _marks_at(plane.y_points, plane.y_codes)
     # max() keeps a NaN only from its first item, so the first point and
     # then the distinct positions give the extent of all the points
     lead = [(ci, cj) for _, ci, cj in (plane.x_points or plane.y_points)[:1]]
@@ -238,6 +257,12 @@ def render_svg(plane: FactorPlane) -> str:
     out += _labelled(plane.y_points, [y_mark(ci, cj) for ci, cj in y_rows], y_index)
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def _marks_at(points, codes):
+    """The positions to draw a mark at (a list of pairs), and each point's index into them."""
+    coords, inverse = _positions(points, codes)
+    return coords.tolist(), range(len(points)) if inverse is None else inverse.tolist()
 
 
 def _labelled(points, marks, index):

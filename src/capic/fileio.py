@@ -15,9 +15,13 @@ quoting, floats by ``repr`` so they read back exactly):
 * :func:`labelled_csv_text` writes the large tables: a label per row,
   then a row of floats (factor tables, a factor plane's points).  A
   sample table repeats a few rows many times (15000 rows, 32 distinct
-  ones on BSC-5), so it formats each byte-distinct row of floats once
-  and gathers the text per row; every row holds the same bytes a
-  ``repr`` per cell would give.
+  ones on BSC-5).  The writer does not look for the repeats: the caller
+  hands over the distinct rows and each row's index into them, the
+  column codes a run found once per split side (see
+  :mod:`capic.neural`), and the writer formats each distinct row once
+  and gathers the text per row.  Without an index it writes row by row.
+  Either way every row holds the same bytes a ``repr`` per cell would
+  give.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import os
 import tempfile
 
 from .errors import ContractViolationError
-from .linalg import distinct_rows
 
 
 def _umask() -> int:
@@ -109,33 +112,34 @@ def _cell(value) -> str:
 def labelled_csv_text(head: str, blocks) -> str:
     """The text ``head`` (say, from :func:`csv_text`), then blocks of labelled float rows.
 
-    Each block is ``(lead, labels, matrix)``: row ``i`` of the 2-D
-    ``matrix`` is written as the cells of ``lead``, ``str(labels[i])``
-    and the row's values by ``repr``, the same bytes :func:`csv_text`
-    gives such a row.  ``labels`` is indexed by row, so one shorter than
-    ``matrix`` raises ``IndexError``.  Each byte-distinct row of values
-    is formatted once; when every row is distinct they are formatted row
-    by row into the one buffer.
+    Each block is ``(lead, labels, rows, inverse)``.  With ``inverse``
+    None, row ``i`` of the 2-D ``rows`` is written as the cells of
+    ``lead``, ``str(labels[i])`` and the row's values by ``repr``, the
+    same bytes :func:`csv_text` gives such a row.  Otherwise ``rows``
+    holds distinct rows, each formatted once, and output row ``i`` takes
+    ``labels[i]`` and the values of ``rows[inverse[i]]``.  Labels beyond
+    the output rows are ignored; too few raise ``IndexError``.
     """
     buf = io.StringIO()
     buf.write(head)
-    for lead, labels, matrix in blocks:
-        n = len(matrix)
-        if matrix.shape[1] == 0:
+    for lead, labels, rows, inverse in blocks:
+        n = len(rows) if inverse is None else len(inverse)
+        if len(labels) < n:
+            raise IndexError(f"{len(labels)} labels for {n} rows")
+        if rows.shape[1] == 0:
             csv.writer(buf, lineterminator="\n").writerows(
                 [*lead, str(labels[i])] for i in range(n)
             )
             continue
         prefix = "".join(_cell(cell) + "," for cell in lead)
-        first, inverse = distinct_rows(matrix)
-        if first.size == n:
-            for i, values in enumerate(matrix):
-                buf.write(f"{prefix}{_cell(labels[i])},{','.join(map(repr, values.tolist()))}\n")
-        else:
-            texts = [",".join(map(repr, values)) for values in matrix[first].tolist()]
-            buf.writelines(
-                f"{prefix}{_cell(labels[i])},{texts[k]}\n" for i, k in enumerate(inverse.tolist())
-            )
+        if inverse is None:  # row by row: a wide table is not held as text twice
+            for label, values in zip(labels, rows):
+                buf.write(f"{prefix}{_cell(label)},{','.join(map(repr, values.tolist()))}\n")
+            continue
+        texts = [",".join(map(repr, values)) for values in rows.tolist()]
+        buf.write("".join([
+            f"{prefix}{cell},{texts[k]}\n" for cell, k in zip(map(_cell, labels), inverse.tolist())
+        ]))
     return buf.getvalue()
 
 

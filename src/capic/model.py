@@ -3,8 +3,8 @@
 Training ends by folding the whitening fitted on the training split
 (see :mod:`capic.whitening`) into each net's linear output layer,
 ``W <- A W`` and ``b <- A (b - mean)``.  The model also keeps the
-training-split diagonal and the final loss terms of the nets before the
-fold, and serializes to a versioned JSON document.
+training-split diagonal of the folded nets and the final loss terms of
+the nets before the fold, and serializes to a versioned JSON document.
 
 Precision: the nets are trained in float32 (see :mod:`capic.neural`)
 and handed over as float64 copies of the float32 values.  Everything
@@ -21,9 +21,12 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .fileio import read_json_object, write_json_atomic
-from .neural import MlpConfig, MlpParams, forward, train_ca_nn
+from .neural import (
+    MlpConfig, MlpParams, distinct_columns, forward, gather_codes, gather_columns, output_layer,
+    train_ca_nn,
+)
 from .objective import BatchOutputs, pic_loss
-from .whitening import apply_whitening, fit_whitening
+from .whitening import fit_whitening, principal_functions
 
 FORMAT_VERSION = 2
 
@@ -32,7 +35,7 @@ FORMAT_VERSION = 2
 class CaNnModel:
     f_params: MlpParams   # x features -> principal functions f (d x n)
     g_params: MlpParams   # y features -> principal functions g (d x n)
-    pic_diagonal: np.ndarray   # training-set estimate, clamped for reporting
+    pic_diagonal: np.ndarray   # training-split diagonal of the nets, clamped for reporting
     raw_diagonal: np.ndarray
     loss_final: float     # training-split loss terms of the nets before the fold
     kyfan_final: float
@@ -49,20 +52,42 @@ def _fold(p: MlpParams, a, mean) -> MlpParams:
     return MlpParams(p.config, [*p.weights[:-1], w], [*p.biases[:-1], b])
 
 
-def fit_ca_nn_model(data, f_cfg, g_cfg, t_cfg, metadata=None):
+def _trained_pass(p: MlpParams, a, codes):
+    """The outputs of ``p`` on the columns of ``a``, and its last hidden activations.
+
+    The net runs over :func:`~capic.neural.distinct_columns`; the outputs
+    are gathered back to the columns, the activations are not.
+    """
+    out, cache = forward(p, distinct_columns(a, codes))
+    return gather_columns(out, codes), cache.buffers.hidden[-1]
+
+
+def fit_ca_nn_model(data, f_cfg, g_cfg, t_cfg, metadata=None, codes=None):
     """Train, whiten on the training split, fold the whitening into the nets.
 
     Returns ``(model, history)``.  One pass of the trained nets over the
-    training split gives the whitening, the reported diagonal and the
-    final loss terms; evaluation on held-out data runs the folded nets.
+    training split gives the whitening and the final loss terms.  The
+    folded nets share the hidden layers, so their output layers on that
+    pass's last hidden activations give the folded nets' training-split
+    outputs: the ones :func:`capic.experiment.evaluate_model` reports,
+    whose diagonal the model keeps.  ``codes``, the training split's
+    ``(x, y)`` :class:`~capic.neural.ColumnCodes`, go to the full-batch
+    step, and the pass runs once per distinct column where
+    :func:`~capic.neural.gather_codes` keeps them.
     """
-    f_params, g_params, history = train_ca_nn(data, f_cfg, g_cfg, t_cfg)
+    f_params, g_params, history = train_ca_nn(data, f_cfg, g_cfg, t_cfg, codes)
     x, y = data.train_arrays()
-    f_out, _ = forward(f_params, x)
-    g_out, _ = forward(g_params, y)
+    x_codes, y_codes = (None, None) if codes is None else map(gather_codes, codes)
+    f_out, f_hidden = _trained_pass(f_params, x, x_codes)
+    g_out, g_hidden = _trained_pass(g_params, y, y_codes)
     transform = fit_whitening(f_out, g_out)
-    pf = apply_whitening(transform, f_out, g_out)
     final = pic_loss(BatchOutputs(f_out, g_out), eps=t_cfg.loss_eps)
+    f_net = _fold(f_params, transform.a, transform.mean_f)
+    g_net = _fold(g_params, transform.b, transform.mean_g)
+    pf = principal_functions(
+        gather_columns(output_layer(f_net, f_hidden), x_codes),
+        gather_columns(output_layer(g_net, g_hidden), y_codes),
+    )
     meta = dict(metadata or {})
     meta.setdefault("x_kind", data.x_kind)
     meta.setdefault("y_kind", data.y_kind)
@@ -74,8 +99,8 @@ def fit_ca_nn_model(data, f_cfg, g_cfg, t_cfg, metadata=None):
     if std is not None:
         meta.setdefault("standardization", std)
     model = CaNnModel(
-        f_params=_fold(f_params, transform.a, transform.mean_f),
-        g_params=_fold(g_params, transform.b, transform.mean_g),
+        f_params=f_net,
+        g_params=g_net,
         pic_diagonal=pf.pic_diagonal,
         raw_diagonal=pf.raw_diagonal,
         loss_final=final.loss,

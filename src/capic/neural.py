@@ -31,6 +31,19 @@ columns are all distinct is encoded as it is).  Mini-batches keep the
 plain per-sample path: a batch of 64 holds few repeats, and the fixed
 per-step cost of the gather and the sums outweighs the smaller
 products.
+
+Column codes: :func:`column_codes` finds the distinct columns of one
+side of a split with one sort, comparing them as the full-batch step
+does, in float32.  Its :class:`ColumnCodes` also say whether columns
+that share a code are equal in float64 too; only then do the float64
+passes use them.  :func:`encode` runs a net once per code and gathers
+the outputs back to the samples.  :func:`evaluate_loss`,
+:func:`capic.model.fit_ca_nn_model` and
+:func:`capic.experiment.evaluate_model` encode that way when they are
+handed codes, and the principal functions they give carry the codes on
+to the artifact writers (:mod:`capic.fileio`, :mod:`capic.factor_plane`).
+Handed no codes, they forward every sample and sort nothing; a
+full-batch step handed none finds its own.
 """
 
 from __future__ import annotations
@@ -221,6 +234,60 @@ class _Encoding(NamedTuple):
         return np.stack([np.bincount(self.inverse, weights=row, minlength=width) for row in grad])
 
 
+class ColumnCodes(NamedTuple):
+    """The distinct columns of one side of a split, from :func:`column_codes`.
+
+    Column ``k`` of the side has code ``inverse[k]``, and ``first[c]`` is
+    the first column with code ``c``.
+    """
+
+    first: np.ndarray
+    inverse: np.ndarray
+    shared: bool  # some columns share a code, and those are equal in float64 too
+
+
+def column_codes(a) -> ColumnCodes:
+    """The codes of the byte-distinct float32 casts of the columns of ``a``.
+
+    These are the columns a full-batch step of :func:`train_ca_nn` tells
+    apart, by their bytes (see :func:`capic.linalg.distinct_rows`: 0.0
+    and -0.0 stay apart, which costs a column, not exactness).
+    ``shared`` is False when every column is distinct, or when two
+    columns that differ in float64 share a float32 code: float64 work
+    then runs per column.
+    """
+    with np.errstate(over="ignore"):
+        a32 = np.asarray(a, dtype=np.float32)
+    first, inverse = distinct_rows(a32.T)
+    shared = first.size < inverse.size and np.array_equal(np.take(a, first[inverse], axis=1), a)
+    return ColumnCodes(first, inverse, bool(shared))
+
+
+def gather_codes(codes: ColumnCodes | None) -> ColumnCodes | None:
+    """``codes`` if float64 work may run once per code and be gathered, else None."""
+    return codes if codes is not None and codes.shared else None
+
+
+def distinct_columns(a, codes: ColumnCodes | None):
+    """The distinct columns of ``a`` (``a`` itself when ``codes`` is None)."""
+    return a if codes is None else np.take(a, codes.first, axis=1)
+
+
+def gather_columns(out, codes: ColumnCodes | None):
+    """Per column of the coded side, its column of ``out`` (a pass over :func:`distinct_columns`)."""
+    return out if codes is None else np.take(out, codes.inverse, axis=1)
+
+
+def encode(p: MlpParams, a, codes: ColumnCodes | None = None) -> np.ndarray:
+    """The net's outputs on the columns of ``a``, as ``forward(p, a)[0]`` gives them.
+
+    With ``codes`` that :func:`gather_codes` keeps, the net runs once per
+    distinct column and the outputs are gathered back to the columns.
+    """
+    codes = gather_codes(codes)
+    return gather_columns(forward(p, distinct_columns(a, codes))[0], codes)
+
+
 def _side_encoding(p: MlpParams, a, first, inverse) -> _Encoding:
     """Encode the samples ``a`` through their distinct columns ``a[:, first]``."""
     if first.size == a.shape[1]:
@@ -229,18 +296,16 @@ def _side_encoding(p: MlpParams, a, first, inverse) -> _Encoding:
     return _Encoding(a[:, first], StepBuffers(p, first.size), inverse, gathered)
 
 
-def _full_batch_encodings(f: MlpParams, g: MlpParams, x, y):
+def _full_batch_encodings(f: MlpParams, g: MlpParams, x, y, codes):
     """``(f_enc, g_enc, weights)`` for a full-batch step on the split ``(x, y)``.
 
-    Columns are byte-distinct (see :func:`capic.linalg.distinct_rows`:
-    0.0 and -0.0 stay apart, which costs a column, not exactness).  The
-    loss runs on the distinct (x, y) pairs with ``weights`` their counts
-    over n, or on the n samples with ``weights`` None when no pair
-    repeats or there are fewer pairs than output components.
+    ``codes`` are the split's ``(x, y)`` :class:`ColumnCodes`.  The loss
+    runs on the distinct (x, y) pairs with ``weights`` their counts over
+    n, or on the n samples with ``weights`` None when no pair repeats or
+    there are fewer pairs than output components.
     """
     n = x.shape[1]
-    x_first, x_inv = distinct_rows(x.T)
-    y_first, y_inv = distinct_rows(y.T)
+    (x_first, x_inv, _), (y_first, y_inv, _) = codes
     pairs, counts = np.unique(x_inv * y_first.size + y_inv, return_counts=True)
     weights = None
     if f.config.out_width <= pairs.size < n:
@@ -300,9 +365,21 @@ def forward(p: MlpParams, x_batch, buffers: StepBuffers | None = None):
         h += b[:, None]
         _activate(h, cfg.activation)
         a = h
-    out = np.matmul(p.weights[-1], a, out=bufs.out)
+    return output_layer(p, a, bufs.out), ForwardCache(x, bufs)
+
+
+def output_layer(p: MlpParams, hidden, out=None) -> np.ndarray:
+    """The linear output layer of ``p`` on the last hidden activations ``hidden``.
+
+    Given the ``buffers.hidden[-1]`` of a cached forward pass of a net
+    that shares every other layer with ``p`` (a net and its fold, see
+    :func:`capic.model.fit_ca_nn_model`), this is the output
+    :func:`forward` gives for ``p`` on that batch, without rerunning the
+    hidden layers.
+    """
+    out = np.matmul(p.weights[-1], hidden, out=out)
     out += p.biases[-1][:, None]
-    return out, ForwardCache(x, bufs)
+    return out
 
 
 def backward(p: MlpParams, cache: ForwardCache, grad_out):
@@ -403,14 +480,18 @@ class EpochRecord:
     g_energy: float
 
 
-def evaluate_loss(f_params, g_params, x, y, eps=DEFAULT_EPS):
-    """Full-batch loss report for fixed parameters (no updates)."""
-    f_out, _ = forward(f_params, x)
-    g_out, _ = forward(g_params, y)
+def evaluate_loss(f_params, g_params, x, y, eps=DEFAULT_EPS, codes=(None, None)):
+    """Full-batch loss report for fixed parameters (no updates).
+
+    ``codes`` are ``(x, y)`` :class:`ColumnCodes` (or Nones) that
+    :func:`encode` runs the nets through; the loss takes the n samples.
+    """
+    f_out = encode(f_params, x, codes[0])
+    g_out = encode(g_params, y, codes[1])
     return pic_loss(BatchOutputs(f_out, g_out), eps=eps)
 
 
-def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
+def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig, codes=None):
     """Train the paired encoders on a dataset's training split.
 
     Returns ``(f_params, g_params, history)`` where ``history`` holds one
@@ -425,6 +506,8 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
     the loss over the distinct (x, y) pairs weighted by their counts,
     with the exact gradient of the n-sample loss (see the module
     docstring); mini-batch steps encode every sample of the batch.
+    ``codes``, the training split's ``(x, y)`` :class:`ColumnCodes`, are
+    the distinct columns of a full-batch step; when None it finds them.
 
     Raises :class:`TrainingDivergedError` with the offending epoch index
     as soon as the encoder outputs, the loss or the gradients stop being
@@ -450,7 +533,9 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
         raise ContractViolationError("training data exceeds the float32 range")
     weights = None
     if t_cfg.batch_size == "full":
-        f_full, g_full, weights = _full_batch_encodings(f, g, x, y)
+        if codes is None:
+            codes = (column_codes(x), column_codes(y))
+        f_full, g_full, weights = _full_batch_encodings(f, g, x, y, codes)
     f_pool, g_pool = {}, {}  # mini-batch width -> StepBuffers
     opt = _make_optimizer(t_cfg)
     rng = np.random.default_rng(t_cfg.seed)

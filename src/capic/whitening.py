@@ -44,10 +44,19 @@ class WhiteningTransform:
 
 @dataclass
 class PrincipalFunctions:
+    """Principal-function values of n samples and their component correlations.
+
+    ``x_codes``/``y_codes`` are the :class:`capic.neural.ColumnCodes` of
+    the samples' x and y columns when f (or g) was gathered through them,
+    so its columns repeat exactly as the codes say; else None.
+    """
+
     f: np.ndarray               # d x n
     g: np.ndarray               # d x n
     pic_diagonal: np.ndarray    # clamped for reporting
     raw_diagonal: np.ndarray    # as computed
+    x_codes: object = None
+    y_codes: object = None
 
 
 def _center_and_whiten(m, which):
@@ -96,13 +105,13 @@ def apply_whitening(w: WhiteningTransform, f_tilde, g_tilde) -> PrincipalFunctio
     return principal_functions(f, w.b @ (g_tilde - w.mean_g[:, None]))
 
 
-def principal_functions(f, g) -> PrincipalFunctions:
+def principal_functions(f, g, x_codes=None, y_codes=None) -> PrincipalFunctions:
     """Principal-function values F, G (d x n) and their component correlations.
 
     ``pic_diagonal`` is ``diag((1/n) F G^T)`` clipped into
     ``[-1, 1.01]``; finite-sample estimates can exceed 1, so a clip
     beyond that range only triggers a warning while the raw values are
-    kept in ``raw_diagonal``.
+    kept in ``raw_diagonal``.  The codes are kept as given.
     """
     f = as_matrix(f, "f")
     g = as_matrix(g, "g")
@@ -117,4 +126,4 @@ def principal_functions(f, g) -> PrincipalFunctions:
             RuntimeWarning,
             stacklevel=2,
         )
-    return PrincipalFunctions(f=f, g=g, pic_diagonal=clamped, raw_diagonal=raw)
+    return PrincipalFunctions(f, g, clamped, raw, x_codes, y_codes)

@@ -47,12 +47,6 @@ class TestContingencyFromSamples:
         with pytest.raises(ContractViolationError):
             contingency_from_samples([1], [1, 2])
 
-    def test_smoothing_adds_pseudocounts(self):
-        t = contingency_from_samples(["a", "b"], ["u", "u"], smoothing=1.0)
-        # counts become [[2,1],[2,1]] over 4 cells... base counts 1 each cell
-        np.testing.assert_allclose(t.table.sum(), 1.0, atol=1e-15)
-        assert t.table.min() > 0
-
 
 class TestContingencyFromPmf:
     def test_uniform(self):

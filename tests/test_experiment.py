@@ -14,7 +14,9 @@ from capic.experiment import build_dataset, evaluate_model, read_pmf_csv, run_ex
 from capic.factor_plane import FactorPlane, export_factor_plane, plane_from_csv, plane_to_csv
 from capic.fileio import dump_json
 from capic.model import fit_ca_nn_model, save_model
-from capic.neural import MlpConfig, TrainConfig
+from capic.linalg import distinct_rows as linalg_distinct_rows
+from capic.neural import MlpConfig, TrainConfig, train_ca_nn
+from capic.neural import forward as neural_forward
 from capic.reconstitution import classify, from_cann, prior_from_counts
 
 from test_factor_plane import reference_plane_csv, reference_points, reference_render_svg
@@ -178,6 +180,58 @@ class TestRunExperiment:
         }
         for name, text in texts.items():
             assert (out / name).read_bytes() == text.encode(), name
+
+    def test_repeated_columns_are_found_once_per_split_side(self, tmp_path, monkeypatch):
+        # BSC-3 has 8 distinct x and 8 distinct y columns.  After training,
+        # every pass runs on those, the repeats are found once per split side,
+        # and the plane still holds the per-point bytes.
+        forwards, sorts, seen = [], [], {}
+        training = []
+
+        def spy_forward(p, x_batch, buffers=None):
+            if not training:
+                forwards.append(np.shape(x_batch)[1])
+            return neural_forward(p, x_batch, buffers)
+
+        def spy_sort(a):
+            sorts.append(len(a))
+            return linalg_distinct_rows(a)
+
+        def spy_train(*args, **kwargs):
+            training.append(True)
+            try:
+                return train_ca_nn(*args, **kwargs)
+            finally:
+                training.pop()
+
+        def spy_evaluate(*args, **kwargs):
+            seen["evaluate_model"] = evaluate_model(*args, **kwargs)
+            return seen["evaluate_model"]
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("capic")]:
+            for name, spy in (("forward", spy_forward), ("distinct_rows", spy_sort),
+                              ("train_ca_nn", spy_train), ("evaluate_model", spy_evaluate)):
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, spy)
+        cfg = tiny_bsc_config(tmp_path / "run", epochs=5)
+        cfg["dataset"].update(n_samples=400, n_test=100)
+        out = run_experiment(cfg)
+        assert forwards and max(forwards) <= 8
+        assert sorted(sorts) == [100, 100, 400, 400]
+        train_pf = seen["evaluate_model"][0]
+        diag = train_pf.pic_diagonal
+        plane = FactorPlane(
+            0, 1, reference_points(train_pf.f.T, diag[0], diag[1], 0, 1, None),
+            reference_points(train_pf.g.T, diag[0], diag[1], 0, 1, None),
+            fp._ratios_from_diag(diag, 0, 1),
+        )
+        assert (out / "plane_0_1.csv").read_bytes() == reference_plane_csv(plane).encode()
+        assert (out / "plane_0_1.svg").read_bytes() == reference_render_svg(plane).encode()
+
+    def test_model_pics_are_the_reported_train_diagonal(self, tmp_path):
+        out = run_experiment(tiny_bsc_config(tmp_path / "run", epochs=5))
+        pics = json.loads((out / "model.json").read_text())["pics"]
+        assert pics == json.loads((out / "pic_report.json").read_text())["train"]
 
     @pytest.mark.parametrize("mode", ["train", "svd"])
     def test_each_artifact_is_written_from_one_str(self, tmp_path, monkeypatch, mode):

@@ -13,8 +13,9 @@ from capic.factor_plane import (
     render_svg,
 )
 from capic.fileio import csv_text
+from capic.linalg import distinct_rows
 from capic.model import CaNnModel
-from capic.neural import MlpConfig, MlpParams
+from capic.neural import ColumnCodes, MlpConfig, MlpParams
 from capic.whitening import PrincipalFunctions
 
 
@@ -270,6 +271,17 @@ class TestPointsOnceEachPosition:
     @pytest.mark.parametrize("name", PLANES)
     def test_csv_bytes(self, name):
         assert plane_to_csv(PLANES[name]) == reference_plane_csv(PLANES[name])
+
+    @pytest.mark.parametrize("name", PLANES)
+    def test_coded_plane_bytes(self, name):
+        # Handed each side's codes, the writers format each position once.
+        plane = PLANES[name]
+        codes = [ColumnCodes(*distinct_rows(fp._coords(points)), True)
+                 for points in (plane.x_points, plane.y_points)]
+        coded = FactorPlane(plane.axis_i, plane.axis_j, plane.x_points, plane.y_points,
+                            plane.score_ratios, *codes)
+        assert render_svg(coded) == reference_render_svg(plane)
+        assert plane_to_csv(coded) == reference_plane_csv(plane)
 
     def test_points_are_the_scalar_products(self):
         table, decomp = small_decomposition()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from capic.fileio import csv_text, labelled_csv_text, write_text_atomic
+from capic.linalg import distinct_rows
 
 
 def reference_table_text(header, labels, matrix, lead=()):
@@ -18,7 +19,13 @@ def reference_table_text(header, labels, matrix, lead=()):
 
 
 def emitted_table_text(header, labels, matrix, lead=()):
-    return labelled_csv_text(csv_text(header, []), [(lead, labels, matrix)])
+    return labelled_csv_text(csv_text(header, []), [(lead, labels, matrix, None)])
+
+
+def gathered_table_text(header, labels, matrix, lead=()):
+    """The writer handed each distinct row once and every row's index into them."""
+    first, inverse = distinct_rows(matrix)
+    return labelled_csv_text(csv_text(header, []), [(lead, labels, matrix[first], inverse)])
 
 
 def test_written_file_mode_follows_umask(tmp_path):
@@ -57,6 +64,16 @@ def test_table_bytes_match_the_per_row_writer(name):
     )
 
 
+@pytest.mark.parametrize("name", MATRICES)
+def test_gathered_rows_give_the_per_row_bytes(name):
+    matrix = MATRICES[name]
+    header = ["index"] + [f"f{k}" for k in range(matrix.shape[1])]
+    labels = range(len(matrix))
+    assert gathered_table_text(header, labels, matrix) == reference_table_text(
+        header, labels, matrix
+    )
+
+
 AWKWARD_LABELS = ["", "with,comma", 'with "quote"', "with\nnewline", "with\rreturn", "plain"]
 
 
@@ -76,7 +93,7 @@ def test_awkward_labels_are_quoted_as_the_csv_module_quotes_them(matrix, lead):
 def test_blocks_follow_the_head_in_order():
     head = csv_text(["# doc"], [["axes", 0, 1], ["ratios", 0.75, 0.125]])
     x, y = np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([[-1.0, 2.0]])
-    text = labelled_csv_text(head, [(("x",), ["a", "b"], x), (("y",), ["c,d"], y)])
+    text = labelled_csv_text(head, [(("x",), ["a", "b"], x, None), (("y",), ["c,d"], y, None)])
     assert text == (
         "# doc\naxes,0,1\nratios,0.75,0.125\n"
         "x,a,0.5,0.5\nx,b,0.5,0.5\n"
