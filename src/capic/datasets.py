@@ -3,13 +3,43 @@
 A :class:`PairedDataset` stores the two views as feature-by-sample
 matrices.  Categorical columns are one-hot encoded with lexicographic
 label order so every run of the same input produces the same layout.
+
+Repeated columns: CA depends on the data only through the empirical
+joint distribution of (X, Y), so a discrete split matters only through
+its distinct x and y columns and their counts (32 of each in 15000
+BSC-5 samples).  A dataset finds the :class:`ColumnCodes` of each side
+of each split on first use, one sort per side (:func:`column_codes`),
+and keeps them; a side whose columns are all distinct gets None.  With
+the codes:
+
+* a full-batch training step (:func:`capic.neural.train_ca_nn`) runs
+  each net once per distinct column and takes the loss over the
+  distinct (x, y) pairs, weighted by their counts;
+* the float64 passes (the initial loss, the trained nets' pass in
+  :func:`capic.model.fit_ca_nn_model` and
+  :func:`capic.experiment.evaluate_model`) run each net once per
+  distinct column and gather the outputs back to the samples;
+* the principal functions carry the codes on to the factor tables and
+  planes, which format each distinct row once (:mod:`capic.fileio`,
+  :mod:`capic.factor_plane`).
+
+The codes compare float64 bytes.  Columns equal in float64 are equal in
+float32 too, so one set of codes serves the float32 training step and
+the float64 passes.  Two columns that differ in float64 but collide in
+float32 keep two codes, which costs a step a column, not exactness (as
+do 0.0 and -0.0, whose bytes differ).  Nothing in capic changes a
+dataset once it is built (a test split is attached with
+:func:`dataclasses.replace`), so the codes found on first use stay
+those of its arrays.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +49,7 @@ from .errors import (
     EmptyDatasetError,
 )
 from .fileio import csv_text, open_input, write_text_atomic
+from .linalg import distinct_rows
 
 ROLES = ("x-continuous", "x-categorical", "y-continuous", "y-categorical", "ignore")
 
@@ -27,6 +58,26 @@ ROLES = ("x-continuous", "x-categorical", "y-continuous", "y-categorical", "igno
 class Split:
     train_idx: np.ndarray
     test_idx: np.ndarray
+
+
+class ColumnCodes(NamedTuple):
+    """The distinct columns of one side of a split.
+
+    Column ``k`` of the side has code ``inverse[k]``, and ``first[c]`` is
+    the first column with code ``c``.
+    """
+
+    first: np.ndarray
+    inverse: np.ndarray
+
+
+def column_codes(a) -> ColumnCodes | None:
+    """The codes of the byte-distinct float64 columns of ``a``; None when none repeats.
+
+    One sort (:func:`capic.linalg.distinct_rows`).
+    """
+    first, inverse = distinct_rows(np.asarray(a, dtype=np.float64).T)
+    return ColumnCodes(first, inverse) if first.size < inverse.size else None
 
 
 @dataclass
@@ -87,6 +138,17 @@ class PairedDataset:
         if self.split is None or self.split.test_idx.size == 0:
             return None
         return self.x[:, self.split.test_idx], self.y[:, self.split.test_idx]
+
+    @cached_property
+    def train_codes(self) -> tuple:
+        """The ``(x, y)`` :class:`ColumnCodes` of the training split, found on first use."""
+        return tuple(map(column_codes, self.train_arrays()))
+
+    @cached_property
+    def test_codes(self) -> tuple:
+        """The ``(x, y)`` :class:`ColumnCodes` of the test split; Nones without one."""
+        arrays = self.test_arrays()
+        return (None, None) if arrays is None else tuple(map(column_codes, arrays))
 
 
 def one_hot_encode(values, labels=None):

@@ -25,20 +25,14 @@ S+3).  Artifacts carry the hash of the resolved config and contain no
 timestamps, so a rerun with the same numpy/BLAS build and the same BLAS
 thread count reproduces them byte for byte (see :mod:`capic.fileio`).
 
-Repeated columns: on discrete data a split holds a few distinct x and y
-columns many times over (32 of each in 15000 BSC-5 samples).  A train
-run finds them once per split side (:func:`capic.neural.column_codes`)
-and hands the codes to the full-batch step, to the initial loss, to the
-folded nets' training-split pass and to :func:`evaluate_model`, which
-then run the nets once per distinct column.  The principal functions
-carry the codes on to the factor tables and planes, which format each
-distinct row once.  ``ca eval`` and ``ca plane`` find the codes of the
-dataset they evaluate the same way, so they give the run's bytes.
+Repeated columns (one net pass and one artifact row per distinct column):
+see :mod:`capic.datasets`.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -54,9 +48,7 @@ from .fileio import (
     write_text_atomic,
 )
 from .model import CaNnModel, fit_ca_nn_model, load_model, save_model
-from .neural import (
-    MlpConfig, TrainConfig, column_codes, encode, evaluate_loss, forward, gather_codes, mlp_init,
-)
+from .neural import MlpConfig, TrainConfig, encode, evaluate_loss, forward, mlp_init
 from .oracles import (
     BscSpec,
     GaussianPairSpec,
@@ -195,7 +187,9 @@ def build_dataset(dcfg: dict) -> PairedDataset:
     n = n_train + n_test
     ds = draw(values, n, seed)
     if n_test > 0:
-        ds.split = Split(train_idx=np.arange(n_train), test_idx=np.arange(n_train, n))
+        ds = dataclasses.replace(
+            ds, split=Split(train_idx=np.arange(n_train), test_idx=np.arange(n_train, n))
+        )
     return ds
 
 
@@ -247,40 +241,25 @@ def _train_config(tcfg: dict) -> TrainConfig:
     return TrainConfig(**_read(tcfg, "train.", _TRAIN_KEYS, required=("epochs",), closed=True))
 
 
-def _split_codes(data: PairedDataset):
-    """The :class:`~capic.neural.ColumnCodes` of the x and y columns of each split.
-
-    ``(train, test)``, each an ``(x_codes, y_codes)`` pair; ``test`` is
-    None without a test split.  One sort per side: the codes are what a
-    run hands to training, evaluation and the artifact writers.
-    """
-    return tuple(
-        None if arrays is None else tuple(map(column_codes, arrays))
-        for arrays in (data.train_arrays(), data.test_arrays())
-    )
-
-
-def evaluate_model(model: CaNnModel, data: PairedDataset, codes=(None, None)):
+def evaluate_model(model: CaNnModel, data: PairedDataset):
     """The nets' outputs on the train and (if any, else None) test split, with diagonals.
 
-    ``codes`` is ``(train, test)`` as :func:`_split_codes` gives it, or
-    Nones.  A side whose codes :func:`~capic.neural.gather_codes` keeps is
-    forwarded once per distinct column and gathered back to the samples
-    (:func:`~capic.neural.encode`), and its principal functions carry the
-    codes on to the artifact writers.  Without codes every sample is
-    forwarded, and nothing is sorted to find repeats.
+    Each net runs once per distinct column of its side (repeated columns:
+    see :mod:`capic.datasets`), and the principal functions carry the
+    codes on to the artifact writers.
     """
 
-    def principal(arrays, side_codes):
+    def principal(arrays, codes):
         if arrays is None:
             return None
-        x_codes, y_codes = map(gather_codes, side_codes or (None, None))
+        x_codes, y_codes = codes
         return principal_functions(
             encode(model.f_params, arrays[0], x_codes), encode(model.g_params, arrays[1], y_codes),
             x_codes, y_codes,
         )
 
-    return principal(data.train_arrays(), codes[0]), principal(data.test_arrays(), codes[1])
+    return (principal(data.train_arrays(), data.train_codes),
+            principal(data.test_arrays(), data.test_codes))
 
 
 def _category_points(model: CaNnModel, data: PairedDataset):
@@ -383,17 +362,13 @@ def _run_train(cfg, out, cfg_hash):
     g_cfg = _mlp_config(blocks.get("g_net", {}), "g_net.", data.y.shape[0], d)
     t_cfg = _train_config(blocks.get("train", {}))
 
-    codes = _split_codes(data)
-    x_tr, y_tr = data.train_arrays()
-    initial = evaluate_loss(
-        mlp_init(f_cfg), mlp_init(g_cfg), x_tr, y_tr, eps=t_cfg.loss_eps, codes=codes[0]
-    )
+    initial = evaluate_loss(mlp_init(f_cfg), mlp_init(g_cfg), data, eps=t_cfg.loss_eps)
     model, history = fit_ca_nn_model(
-        data, f_cfg, g_cfg, t_cfg, metadata={"config_hash": cfg_hash, "d": d}, codes=codes[0]
+        data, f_cfg, g_cfg, t_cfg, metadata={"config_hash": cfg_hash, "d": d}
     )
     save_model(model, out / "model.json")
 
-    train_pf, test_pf = evaluate_model(model, data, codes)
+    train_pf, test_pf = evaluate_model(model, data)
     report = {
         "config_hash": cfg_hash,
         "train": _diag_doc(train_pf),
@@ -421,7 +396,7 @@ def _evaluate_saved(model_path, config, seed, out_dir):
     cfg, out = _prepare(config, seed, out_dir)
     model = load_model(model_path)
     data = build_dataset(_read(cfg, "", _TOP_KEYS, required=("dataset",))["dataset"])
-    return (cfg, out, model, data, *evaluate_model(model, data, _split_codes(data)))
+    return (cfg, out, model, data, *evaluate_model(model, data))
 
 
 def run_eval(model_path, config, seed=None, out_dir=None) -> Path:

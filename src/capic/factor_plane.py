@@ -6,17 +6,12 @@ scaled by the component correlation), so independent data collapses to
 the origin.  The SVG output is plain deterministic text: same inputs,
 same bytes.
 
-A plane of a trained model has a point per sample, and on categorical
-data those repeat a few positions many times (15000 x points at 32
-positions on BSC-5).  The writers do not look for the repeats: a plane
-exported from principal functions that carry column codes (see
-:mod:`capic.neural`) keeps them, and both writers then print each coded
-position once: :func:`plane_to_csv` through
-:func:`capic.fileio.labelled_csv_text`, and :func:`render_svg` by
-formatting each position's marker and label prefix once and appending
-each point's own label.  A plane without codes (svd mode, a parsed
-plane, category points) is written point by point.  Either gives the
-bytes a per-point loop would.
+A plane of a trained model has a point per sample.  One exported from
+principal functions that carry column codes (repeated columns: see
+:mod:`capic.datasets`) keeps them, and both writers then format each
+coded position once; a plane without codes (svd mode, a parsed plane,
+category points) is written point by point.  Either gives the bytes a
+per-point loop would.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ SVG_MAX_X_LABELS = 50
 class FactorPlane:
     """Two components of both variables' points.
 
-    ``x_codes``/``y_codes`` are the :class:`capic.neural.ColumnCodes` of
+    ``x_codes``/``y_codes`` are the :class:`capic.datasets.ColumnCodes` of
     the samples behind the points, when points with one code share their
     coordinates exactly; else None.
     """

@@ -13,15 +13,11 @@ quoting, floats by ``repr`` so they read back exactly):
 * :func:`csv_text` writes small tables of mixed cells (loss history,
   scores, a factor plane's preamble) row by row through the csv module.
 * :func:`labelled_csv_text` writes the large tables: a label per row,
-  then a row of floats (factor tables, a factor plane's points).  A
-  sample table repeats a few rows many times (15000 rows, 32 distinct
-  ones on BSC-5).  The writer does not look for the repeats: the caller
-  hands over the distinct rows and each row's index into them, the
-  column codes a run found once per split side (see
-  :mod:`capic.neural`), and the writer formats each distinct row once
-  and gathers the text per row.  Without an index it writes row by row.
-  Either way every row holds the same bytes a ``repr`` per cell would
-  give.
+  then a row of floats (factor tables, a factor plane's points).  Handed
+  the distinct rows and each row's index into them (repeated columns:
+  see :mod:`capic.datasets`), it formats each distinct row once; without
+  an index it writes row by row.  Either way every row holds the same
+  bytes a ``repr`` per cell would give.
 """
 
 from __future__ import annotations

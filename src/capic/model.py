@@ -22,8 +22,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .fileio import read_json_object, write_json_atomic
 from .neural import (
-    MlpConfig, MlpParams, distinct_columns, forward, gather_codes, gather_columns, output_layer,
-    train_ca_nn,
+    MlpConfig, MlpParams, distinct_columns, forward, gather_columns, output_layer, train_ca_nn,
 )
 from .objective import BatchOutputs, pic_loss
 from .whitening import fit_whitening, principal_functions
@@ -62,7 +61,7 @@ def _trained_pass(p: MlpParams, a, codes):
     return gather_columns(out, codes), cache.buffers.hidden[-1]
 
 
-def fit_ca_nn_model(data, f_cfg, g_cfg, t_cfg, metadata=None, codes=None):
+def fit_ca_nn_model(data, f_cfg, g_cfg, t_cfg, metadata=None):
     """Train, whiten on the training split, fold the whitening into the nets.
 
     Returns ``(model, history)``.  One pass of the trained nets over the
@@ -70,14 +69,11 @@ def fit_ca_nn_model(data, f_cfg, g_cfg, t_cfg, metadata=None, codes=None):
     folded nets share the hidden layers, so their output layers on that
     pass's last hidden activations give the folded nets' training-split
     outputs: the ones :func:`capic.experiment.evaluate_model` reports,
-    whose diagonal the model keeps.  ``codes``, the training split's
-    ``(x, y)`` :class:`~capic.neural.ColumnCodes`, go to the full-batch
-    step, and the pass runs once per distinct column where
-    :func:`~capic.neural.gather_codes` keeps them.
+    whose diagonal the model keeps.  The pass runs once per distinct
+    column (repeated columns: see :mod:`capic.datasets`).
     """
-    f_params, g_params, history = train_ca_nn(data, f_cfg, g_cfg, t_cfg, codes)
-    x, y = data.train_arrays()
-    x_codes, y_codes = (None, None) if codes is None else map(gather_codes, codes)
+    f_params, g_params, history = train_ca_nn(data, f_cfg, g_cfg, t_cfg)
+    (x, y), (x_codes, y_codes) = data.train_arrays(), data.train_codes
     f_out, f_hidden = _trained_pass(f_params, x, x_codes)
     g_out, g_hidden = _trained_pass(g_params, y, y_codes)
     transform = fit_whitening(f_out, g_out)

@@ -14,36 +14,19 @@ upcasts the d x n outputs, so covariances and eigendecompositions run
 in float64.  The trained weights come back as float64 copies;
 whitening, evaluation and the saved model run in float64 on those.
 
-Full-batch encoding: the loss depends on the data only through the
-empirical joint distribution of (X, Y), so a full-batch step takes it
-over the distinct (x, y) pairs of the training split, weighted by their
-counts over n (at most 1024 pairs on BSC-5, against 15000 samples).
-Each net runs once per distinct column of its side (32 on BSC-5), the
-outputs are gathered to the pairs for the weighted
-:func:`~capic.objective.pic_loss`, and the pairs' output gradients are
-summed per column before :func:`backward`.  That is the exact gradient
-of the n-sample loss: the hidden deltas are linear in the output delta,
-so summing first changes only rounding, and nothing in the step scales
-with n.  When no pair repeats (continuous data) or there are fewer
-pairs than output components, the loss runs unweighted on the n
-samples, gathered from each side's distinct columns (a side whose
-columns are all distinct is encoded as it is).  Mini-batches keep the
-plain per-sample path: a batch of 64 holds few repeats, and the fixed
-per-step cost of the gather and the sums outweighs the smaller
-products.
-
-Column codes: :func:`column_codes` finds the distinct columns of one
-side of a split with one sort, comparing them as the full-batch step
-does, in float32.  Its :class:`ColumnCodes` also say whether columns
-that share a code are equal in float64 too; only then do the float64
-passes use them.  :func:`encode` runs a net once per code and gathers
-the outputs back to the samples.  :func:`evaluate_loss`,
-:func:`capic.model.fit_ca_nn_model` and
-:func:`capic.experiment.evaluate_model` encode that way when they are
-handed codes, and the principal functions they give carry the codes on
-to the artifact writers (:mod:`capic.fileio`, :mod:`capic.factor_plane`).
-Handed no codes, they forward every sample and sort nothing; a
-full-batch step handed none finds its own.
+Full-batch encoding: a full-batch step takes the loss over the distinct
+(x, y) pairs of the training split, weighted by their counts over n
+(at most 1024 pairs on BSC-5, against 15000 samples), and runs each net
+once per distinct column of its side (the dataset's column codes, see
+:mod:`capic.datasets`).  The pairs' output gradients are summed per
+column before :func:`backward`.  That is the exact gradient of the
+n-sample loss: the hidden deltas are linear in the output delta, so
+summing first changes only rounding, and nothing in the step scales
+with n.  When no pair repeats or there are fewer pairs than output
+components, the loss runs unweighted on the n samples, gathered from
+each side's distinct columns.  Mini-batches keep the plain per-sample
+path: a batch of 64 holds few repeats, and the fixed per-step cost of
+the gather and the sums outweighs the smaller products.
 """
 
 from __future__ import annotations
@@ -54,8 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .datasets import ColumnCodes
 from .errors import ContractViolationError, TrainingDivergedError
-from .linalg import as_matrix, distinct_rows
+from .linalg import as_matrix
 from .objective import DEFAULT_EPS, BatchOutputs, pic_loss
 
 _ACTIVATIONS = ("relu", "tanh", "identity")  # identity is a diagnostic hook
@@ -234,40 +218,6 @@ class _Encoding(NamedTuple):
         return np.stack([np.bincount(self.inverse, weights=row, minlength=width) for row in grad])
 
 
-class ColumnCodes(NamedTuple):
-    """The distinct columns of one side of a split, from :func:`column_codes`.
-
-    Column ``k`` of the side has code ``inverse[k]``, and ``first[c]`` is
-    the first column with code ``c``.
-    """
-
-    first: np.ndarray
-    inverse: np.ndarray
-    shared: bool  # some columns share a code, and those are equal in float64 too
-
-
-def column_codes(a) -> ColumnCodes:
-    """The codes of the byte-distinct float32 casts of the columns of ``a``.
-
-    These are the columns a full-batch step of :func:`train_ca_nn` tells
-    apart, by their bytes (see :func:`capic.linalg.distinct_rows`: 0.0
-    and -0.0 stay apart, which costs a column, not exactness).
-    ``shared`` is False when every column is distinct, or when two
-    columns that differ in float64 share a float32 code: float64 work
-    then runs per column.
-    """
-    with np.errstate(over="ignore"):
-        a32 = np.asarray(a, dtype=np.float32)
-    first, inverse = distinct_rows(a32.T)
-    shared = first.size < inverse.size and np.array_equal(np.take(a, first[inverse], axis=1), a)
-    return ColumnCodes(first, inverse, bool(shared))
-
-
-def gather_codes(codes: ColumnCodes | None) -> ColumnCodes | None:
-    """``codes`` if float64 work may run once per code and be gathered, else None."""
-    return codes if codes is not None and codes.shared else None
-
-
 def distinct_columns(a, codes: ColumnCodes | None):
     """The distinct columns of ``a`` (``a`` itself when ``codes`` is None)."""
     return a if codes is None else np.take(a, codes.first, axis=1)
@@ -278,40 +228,45 @@ def gather_columns(out, codes: ColumnCodes | None):
     return out if codes is None else np.take(out, codes.inverse, axis=1)
 
 
-def encode(p: MlpParams, a, codes: ColumnCodes | None = None) -> np.ndarray:
+def encode(p: MlpParams, a, codes: ColumnCodes | None) -> np.ndarray:
     """The net's outputs on the columns of ``a``, as ``forward(p, a)[0]`` gives them.
 
-    With ``codes`` that :func:`gather_codes` keeps, the net runs once per
-    distinct column and the outputs are gathered back to the columns.
+    With ``codes`` the net runs once per distinct column and the outputs
+    are gathered back to the columns.
     """
-    codes = gather_codes(codes)
     return gather_columns(forward(p, distinct_columns(a, codes))[0], codes)
 
 
-def _side_encoding(p: MlpParams, a, first, inverse) -> _Encoding:
-    """Encode the samples ``a`` through their distinct columns ``a[:, first]``."""
-    if first.size == a.shape[1]:
+def _side_encoding(p: MlpParams, a, codes: ColumnCodes | None, inverse) -> _Encoding:
+    """Encode the samples ``a`` through their distinct columns (all of them without codes).
+
+    ``inverse`` maps the loss's columns to the distinct ones.
+    """
+    if codes is None:
         return _Encoding(a, StepBuffers(p, a.shape[1]))
     gathered = np.empty((p.config.out_width, inverse.size))
-    return _Encoding(a[:, first], StepBuffers(p, first.size), inverse, gathered)
+    return _Encoding(a[:, codes.first], StepBuffers(p, codes.first.size), inverse, gathered)
 
 
 def _full_batch_encodings(f: MlpParams, g: MlpParams, x, y, codes):
     """``(f_enc, g_enc, weights)`` for a full-batch step on the split ``(x, y)``.
 
-    ``codes`` are the split's ``(x, y)`` :class:`ColumnCodes`.  The loss
-    runs on the distinct (x, y) pairs with ``weights`` their counts over
-    n, or on the n samples with ``weights`` None when no pair repeats or
-    there are fewer pairs than output components.
+    ``codes`` are the split's ``(x, y)`` :class:`~capic.datasets.ColumnCodes`.
+    The loss runs on the distinct (x, y) pairs with ``weights`` their
+    counts over n, or on the n samples with ``weights`` None when no pair
+    repeats or there are fewer pairs than output components.
     """
     n = x.shape[1]
-    (x_first, x_inv, _), (y_first, y_inv, _) = codes
-    pairs, counts = np.unique(x_inv * y_first.size + y_inv, return_counts=True)
+    x_codes, y_codes = codes
+    x_inv, y_inv = (None if c is None else c.inverse for c in codes)
     weights = None
-    if f.config.out_width <= pairs.size < n:
-        x_inv, y_inv = np.divmod(pairs, y_first.size)
-        weights = counts / n
-    return _side_encoding(f, x, x_first, x_inv), _side_encoding(g, y, y_first, y_inv), weights
+    if x_codes is not None and y_codes is not None:
+        width = y_codes.first.size
+        pairs, counts = np.unique(x_inv * width + y_inv, return_counts=True)
+        if f.config.out_width <= pairs.size < n:
+            x_inv, y_inv = np.divmod(pairs, width)
+            weights = counts / n
+    return _side_encoding(f, x, x_codes, x_inv), _side_encoding(g, y, y_codes, y_inv), weights
 
 
 def _activate(z, kind):
@@ -480,34 +435,34 @@ class EpochRecord:
     g_energy: float
 
 
-def evaluate_loss(f_params, g_params, x, y, eps=DEFAULT_EPS, codes=(None, None)):
-    """Full-batch loss report for fixed parameters (no updates).
+def evaluate_loss(f_params, g_params, data, eps=DEFAULT_EPS):
+    """Full-batch loss report of fixed nets on a dataset's training split (no updates).
 
-    ``codes`` are ``(x, y)`` :class:`ColumnCodes` (or Nones) that
-    :func:`encode` runs the nets through; the loss takes the n samples.
+    The loss takes the n samples; each net runs once per distinct column
+    of its side (:func:`encode` with the dataset's column codes).
     """
-    f_out = encode(f_params, x, codes[0])
-    g_out = encode(g_params, y, codes[1])
-    return pic_loss(BatchOutputs(f_out, g_out), eps=eps)
+    (x, y), (x_codes, y_codes) = data.train_arrays(), data.train_codes
+    return pic_loss(BatchOutputs(encode(f_params, x, x_codes), encode(g_params, y, y_codes)),
+                    eps=eps)
 
 
-def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig, codes=None):
+def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
     """Train the paired encoders on a dataset's training split.
 
     Returns ``(f_params, g_params, history)`` where ``history`` holds one
     :class:`EpochRecord` per epoch.  Full-batch gradient descent is the
     default; with a finite ``batch_size`` the sample order is reshuffled
     each epoch from ``t_cfg.seed`` and trailing batches smaller than the
-    output width are dropped (the loss needs n >= d per batch).
+    output width are dropped (the loss needs n >= d per batch).  A split
+    or a ``batch_size`` smaller than the output width raises
+    :class:`ContractViolationError`, since no batch could be trained.
 
     Training runs in float32 (see the module docstring); the returned
     params are float64 copies of the trained float32 values.  A
-    full-batch step encodes each distinct input column once and takes
-    the loss over the distinct (x, y) pairs weighted by their counts,
-    with the exact gradient of the n-sample loss (see the module
-    docstring); mini-batch steps encode every sample of the batch.
-    ``codes``, the training split's ``(x, y)`` :class:`ColumnCodes`, are
-    the distinct columns of a full-batch step; when None it finds them.
+    full-batch step encodes each distinct input column once (the
+    dataset's column codes) and takes the loss over the distinct (x, y)
+    pairs weighted by their counts, with the exact gradient of the
+    n-sample loss; mini-batch steps encode every sample of the batch.
 
     Raises :class:`TrainingDivergedError` with the offending epoch index
     as soon as the encoder outputs, the loss or the gradients stop being
@@ -524,6 +479,11 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig, co
     if f_cfg.in_width != x.shape[0] or g_cfg.in_width != y.shape[0]:
         raise ContractViolationError("encoder input widths do not match the dataset")
     d = f_cfg.out_width
+    batch = n if t_cfg.batch_size == "full" else int(t_cfg.batch_size)
+    if min(n, batch) < d:
+        raise ContractViolationError(
+            f"need min(n, batch_size) >= d to train: n={n}, batch_size={t_cfg.batch_size}, d={d}"
+        )
     f = mlp_init(f_cfg).astype(np.float32)
     g = mlp_init(g_cfg).astype(np.float32)
     with np.errstate(over="ignore"):
@@ -533,9 +493,7 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig, co
         raise ContractViolationError("training data exceeds the float32 range")
     weights = None
     if t_cfg.batch_size == "full":
-        if codes is None:
-            codes = (column_codes(x), column_codes(y))
-        f_full, g_full, weights = _full_batch_encodings(f, g, x, y, codes)
+        f_full, g_full, weights = _full_batch_encodings(f, g, x, y, data.train_codes)
     f_pool, g_pool = {}, {}  # mini-batch width -> StepBuffers
     opt = _make_optimizer(t_cfg)
     rng = np.random.default_rng(t_cfg.seed)

@@ -46,7 +46,7 @@ class WhiteningTransform:
 class PrincipalFunctions:
     """Principal-function values of n samples and their component correlations.
 
-    ``x_codes``/``y_codes`` are the :class:`capic.neural.ColumnCodes` of
+    ``x_codes``/``y_codes`` are the :class:`capic.datasets.ColumnCodes` of
     the samples' x and y columns when f (or g) was gathered through them,
     so its columns repeat exactly as the codes say; else None.
     """

@@ -228,6 +228,52 @@ class TestRunExperiment:
         assert (out / "plane_0_1.csv").read_bytes() == reference_plane_csv(plane).encode()
         assert (out / "plane_0_1.svg").read_bytes() == reference_render_svg(plane).encode()
 
+    def test_library_calls_find_the_codes_once(self, tmp_path, monkeypatch):
+        # capbench's wine route: fit_ca_nn_model, then evaluate_model, handed
+        # only the dataset.  The one-hot y side is forwarded once per label,
+        # each split side is sorted once, and the outputs are the per-sample ones.
+        csv_path = tmp_path / "wine.csv"
+        synthetic_wine_csv(csv_path, n_samples=300, seed=4)
+        data = build_dataset({"source": "csv", "path": str(csv_path), "schema": WINE_SCHEMA,
+                              "standardize": True, "test_fraction": 0.25, "split_seed": 4})
+        n_labels = data.y.shape[0]
+        g_widths, sorts, training = [], [], []
+
+        def spy_forward(p, x_batch, buffers=None):
+            if not training and p.config.in_width == n_labels:
+                g_widths.append(np.shape(x_batch)[1])
+            return neural_forward(p, x_batch, buffers)
+
+        def spy_sort(a):
+            sorts.append(len(a))
+            return linalg_distinct_rows(a)
+
+        def spy_train(*args, **kwargs):
+            training.append(True)
+            try:
+                return train_ca_nn(*args, **kwargs)
+            finally:
+                training.pop()
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("capic")]:
+            for name, spy in (("forward", spy_forward), ("distinct_rows", spy_sort),
+                              ("train_ca_nn", spy_train)):
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, spy)
+        f_cfg = MlpConfig((data.x.shape[0], 8, 2), "relu", 1)
+        g_cfg = MlpConfig((n_labels, 8, 2), "relu", 2)
+        t_cfg = TrainConfig(epochs=2, batch_size=64, optimizer="adam", lr=1e-3, seed=3)
+        model, _ = fit_ca_nn_model(data, f_cfg, g_cfg, t_cfg)
+        pfs = evaluate_model(model, data)
+        assert g_widths and max(g_widths) <= n_labels
+        assert sorted(sorts) == [75, 75, 225, 225]
+        monkeypatch.undo()
+        for (x, y), pf in zip((data.train_arrays(), data.test_arrays()), pfs):
+            np.testing.assert_allclose(pf.f, neural_forward(model.f_params, x)[0], rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(pf.g, neural_forward(model.g_params, y)[0], rtol=0,
+                                       atol=1e-12)
+
     def test_model_pics_are_the_reported_train_diagonal(self, tmp_path):
         out = run_experiment(tiny_bsc_config(tmp_path / "run", epochs=5))
         pics = json.loads((out / "model.json").read_text())["pics"]
@@ -533,6 +579,18 @@ class TestCli:
         err = capsys.readouterr().err
         named = str(cfg_path) if case in ("config-not-json", "config-list") else missing
         assert err.startswith("error: ") and named in err
+
+    def test_batch_smaller_than_d_exits_2(self, tmp_path, capsys):
+        # every batch of 2 would be dropped for d = 3: nothing would train
+        cfg = tiny_bsc_config(tmp_path / "run")
+        cfg["d"] = 3
+        cfg["dataset"].update(n_samples=400, n_test=100)
+        cfg["train"]["batch_size"] = 2
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(dump_json(cfg))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert "n=400, batch_size=2, d=3" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.json").exists()
 
     def test_error_paths_return_nonzero(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

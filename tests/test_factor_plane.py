@@ -3,6 +3,7 @@ import pytest
 
 from capic import factor_plane as fp
 from capic.classical import ca_decompose, contingency_from_pmf, contingency_from_samples
+from capic.datasets import ColumnCodes
 from capic.errors import ContractViolationError, CsvParseError, UnsupportedOperationError
 from capic.factor_plane import (
     FactorPlane,
@@ -15,7 +16,7 @@ from capic.factor_plane import (
 from capic.fileio import csv_text
 from capic.linalg import distinct_rows
 from capic.model import CaNnModel
-from capic.neural import ColumnCodes, MlpConfig, MlpParams
+from capic.neural import MlpConfig, MlpParams
 from capic.whitening import PrincipalFunctions
 
 
@@ -276,7 +277,7 @@ class TestPointsOnceEachPosition:
     def test_coded_plane_bytes(self, name):
         # Handed each side's codes, the writers format each position once.
         plane = PLANES[name]
-        codes = [ColumnCodes(*distinct_rows(fp._coords(points)), True)
+        codes = [ColumnCodes(*distinct_rows(fp._coords(points)))
                  for points in (plane.x_points, plane.y_points)]
         coded = FactorPlane(plane.axis_i, plane.axis_j, plane.x_points, plane.y_points,
                             plane.score_ratios, *codes)

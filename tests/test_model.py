@@ -42,7 +42,7 @@ class TestFitModel:
     def test_final_loss_is_that_of_the_nets_before_the_fold(self, tiny_model):
         data, model, _ = tiny_model
         f_params, g_params, _ = train_ca_nn(data, *CONFIGS)
-        final = evaluate_loss(f_params, g_params, data.x, data.y, eps=CONFIGS[2].loss_eps)
+        final = evaluate_loss(f_params, g_params, data, eps=CONFIGS[2].loss_eps)
         assert (model.loss_final, model.kyfan_final) == (final.loss, final.kyfan_term)
 
     def test_metadata_captures_kinds(self, tiny_model):

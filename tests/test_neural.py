@@ -198,8 +198,8 @@ class TestTraining:
         g_cfg = MlpConfig((1, 8, 1), activation="tanh", init_seed=5)
         t_cfg = TrainConfig(epochs=50, optimizer="gd", lr=0.05, seed=6)
         f_p, g_p, _ = train_ca_nn(data, f_cfg, g_cfg, t_cfg)
-        initial = evaluate_loss(mlp_init(f_cfg), mlp_init(g_cfg), data.x, data.y)
-        final = evaluate_loss(f_p, g_p, data.x, data.y)
+        initial = evaluate_loss(mlp_init(f_cfg), mlp_init(g_cfg), data)
+        final = evaluate_loss(f_p, g_p, data)
         assert final.loss <= initial.loss
 
     def test_independent_data_small_correlations(self):
@@ -277,6 +277,14 @@ class TestTraining:
         data.x[0, 0] = 1e39
         with pytest.raises(ContractViolationError, match="float32"):
             train_ca_nn(data, MlpConfig((1, 4, 1)), MlpConfig((1, 4, 1)), TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("batch_size, n", [(2, 400), ("full", 2)])
+    def test_batch_smaller_than_d_rejected(self, batch_size, n):
+        # a batch of fewer than d samples cannot be trained: mini-batches
+        # that small would all be dropped, and a full batch has no loss
+        t_cfg = TrainConfig(epochs=1, batch_size=batch_size)
+        with pytest.raises(ContractViolationError, match=f"n={n}, batch_size={batch_size}, d=3"):
+            train_ca_nn(bsc_split(3, n), MlpConfig((3, 8, 3)), MlpConfig((3, 8, 3)), t_cfg)
 
     def test_output_width_mismatch_rejected(self):
         data = scalar_dataset(64, seed=600)
@@ -422,6 +430,32 @@ class TestFullBatchDistinctColumns:
             for columns, weights in calls:
                 assert columns == 64 and weights.shape == (64,)
                 assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_columns_equal_only_in_float32_keep_their_codes(self, monkeypatch):
+        # 1.0 and 1.0 + 2**-30 are one float32 value but two float64 ones.
+        # The step runs them as two (equal) columns, still exactly, and
+        # the float64 evaluation keeps their outputs apart.
+        near_one = 1.0 + 2.0 ** -30
+        assert np.float32(near_one) == np.float32(1.0)
+        x, y = bsc_split(3, 400).train_arrays()
+        x = x.copy()
+        x[0, (x[0] == 1.0) & (np.arange(x.shape[1]) % 2 == 0)] = near_one
+        data = PairedDataset(x=x, y=y)
+        widths = forward_widths(monkeypatch)
+        run = train_ca_nn(data, *FULL_BATCH)
+        assert sorted(set(widths)) == [8, 12]  # 8 y columns, 8 + 4 x columns
+        assert_runs_agree(run, gd_on_every_sample(data, *FULL_BATCH))
+
+        model, _ = fit_ca_nn_model(data, *FULL_BATCH)
+        train_pf, _ = evaluate_model(model, data)
+        assert train_pf.x_codes.first.size == 12
+        np.testing.assert_allclose(train_pf.f, forward(model.f_params, x)[0], rtol=0, atol=1e-12)
+        # two samples whose x differ only by the 2**-30
+        lo = int(np.argmax((x[0] == 1.0) & (x[1] == 1.0) & (x[2] == 1.0)))
+        hi = int(np.argmax((x[0] == near_one) & (x[1] == 1.0) & (x[2] == 1.0)))
+        assert x[0, hi] == near_one and x[0, lo] == 1.0
+        assert not np.array_equal(train_pf.f[:, lo], train_pf.f[:, hi])
 
 
 class TestPrecisionContract:
