@@ -35,7 +35,7 @@ those of its arrays.
 
 from __future__ import annotations
 
-import csv
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -48,7 +48,7 @@ from .errors import (
     CsvParseError,
     EmptyDatasetError,
 )
-from .fileio import csv_text, open_input, write_text_atomic
+from .fileio import csv_records, csv_text, open_input, write_text_atomic
 from .linalg import distinct_rows
 
 ROLES = ("x-continuous", "x-categorical", "y-continuous", "y-categorical", "ignore")
@@ -166,12 +166,6 @@ def one_hot_encode(values, labels=None):
     return mat, tuple(labels)
 
 
-def one_hot_decode(mat, labels):
-    """Inverse of :func:`one_hot_encode` on its label set."""
-    idx = np.argmax(mat, axis=0)
-    return [labels[i] for i in idx]
-
-
 def apply_standardization(stats, mat):
     """Shift/scale a feature matrix with stored per-row statistics."""
     mean = np.asarray(stats["mean"], dtype=np.float64)
@@ -193,6 +187,22 @@ def make_split(n, test_fraction, seed):
     return Split(train_idx=np.sort(order[n_test:]), test_idx=np.sort(order[:n_test]))
 
 
+def _side_columns(header, schema, prefix):
+    """The header columns of one side and the side's kind."""
+    cont = [c for c in header if schema[c] == f"{prefix}-continuous"]
+    cat = [c for c in header if schema[c] == f"{prefix}-categorical"]
+    if cont and cat:
+        raise ContractViolationError(f"{prefix} side mixes continuous and categorical columns")
+    if not cont and not cat:
+        raise ContractViolationError(f"schema assigns no columns to the {prefix} side")
+    if len(cat) > 1:
+        # stacked one-hot blocks would sum to len(cat) per sample
+        raise ContractViolationError(
+            f"{prefix} side has several categorical columns {cat}; at most one is supported"
+        )
+    return (cont, "continuous") if cont else (cat, "onehot")
+
+
 def load_csv(path, schema, standardize=False, test_fraction=0.0, split_seed=0):
     """Load a paired dataset from a delimited text file with a header.
 
@@ -201,95 +211,74 @@ def load_csv(path, schema, standardize=False, test_fraction=0.0, split_seed=0):
     ``ignore``.  Each side is either continuous columns or a single
     categorical column, one-hot encoded in lexicographic label order.  With ``standardize=True`` each
     continuous row is shifted/scaled to zero mean and unit variance
-    using statistics of the training split only.
+    using statistics of the training split only.  Errors in a row name
+    the physical line the row starts on (a quoted cell may hold newlines).
     """
     for col, role in schema.items():
         if role not in ROLES:
             raise ContractViolationError(f"unknown role {role!r} for column {col!r}")
     with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{path}: file is empty", line=1) from None
+        records = csv_records(fh, path)
+        _, header = next(records, (1, None))
+        if header is None:
+            raise CsvParseError(f"{path}: file is empty", line=1)
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise CsvParseError(f"{path}: header repeats columns {repeated}", line=1)
         missing = [c for c in schema if c not in header]
         if missing:
             raise CsvParseError(f"{path}: schema columns missing from header: {missing}")
         unknown = [c for c in header if c not in schema]
         if unknown:
             raise CsvParseError(f"{path}: header columns not covered by schema: {unknown}")
-        columns = {c: [] for c in header}
+        sides = {p: _side_columns(header, schema, p) for p in "xy"}
+        numeric = [i for i, c in enumerate(header) if schema[c].endswith("continuous")]
+        texts = {p: (header.index(cols[0]), []) for p, (cols, kind) in sides.items()
+                 if kind == "onehot"}  # a categorical side's cells
+        values = array("d")  # the continuous cells, row by row
         n_rows = 0
-        for line_no, row in enumerate(reader, start=2):
+        for line, row in records:
             if len(row) != len(header):
                 raise CsvParseError(
-                    f"{path}: row has {len(row)} fields, header has {len(header)}",
-                    line=line_no,
+                    f"{path}: row has {len(row)} fields, header has {len(header)}", line=line
                 )
-            for c, cell in zip(header, row):
-                role = schema[c]
-                if role.endswith("continuous"):
+            try:
+                values.extend(map(float, [row[i] for i in numeric]))
+            except ValueError:
+                for i in numeric:  # name the first cell that float rejects
                     try:
-                        columns[c].append(float(cell))
+                        float(row[i])
                     except ValueError:
-                        raise CsvParseError(
-                            f"{path}: non-numeric value {cell!r} in continuous "
-                            f"column {c!r}",
-                            line=line_no,
-                        ) from None
-                else:
-                    columns[c].append(cell)
+                        raise CsvParseError(f"{path}: non-numeric value {row[i]!r} in "
+                                            f"continuous column {header[i]!r}", line=line) from None
+            for i, cells in texts.values():
+                cells.append(row[i])
             n_rows += 1
     if n_rows == 0:
         raise EmptyDatasetError(f"{path}: no data rows")
-
-    def build_side(prefix):
-        cont = [c for c in header if schema[c] == f"{prefix}-continuous"]
-        cat = [c for c in header if schema[c] == f"{prefix}-categorical"]
-        if cont and cat:
-            raise ContractViolationError(
-                f"{prefix} side mixes continuous and categorical columns"
-            )
-        if not cont and not cat:
-            raise ContractViolationError(f"schema assigns no columns to the {prefix} side")
-        if len(cat) > 1:
-            # stacked one-hot blocks would sum to len(cat) per sample
-            raise ContractViolationError(
-                f"{prefix} side has several categorical columns {cat}; "
-                "at most one is supported"
-            )
-        if cont:
-            return np.array([columns[c] for c in cont]), "continuous", None, cont
-        mat, labels = one_hot_encode(columns[cat[0]])
-        return mat, "onehot", labels, cat
-
-    x, x_kind, x_labels, x_cols = build_side("x")
-    y, y_kind, y_labels, y_cols = build_side("y")
+    table = np.frombuffer(values).reshape(n_rows, len(numeric)).T
     split = make_split(n_rows, test_fraction, split_seed) if test_fraction > 0 else None
-    provenance = {
-        "source": "csv",
-        "path": str(path),
-        "x_columns": x_cols,
-        "y_columns": y_cols,
-        "standardize": bool(standardize),
-        "test_fraction": test_fraction,
-        "split_seed": split_seed,
-    }
-    if standardize:
-        train = split.train_idx if split is not None else np.arange(n_rows)
-        stats = {}
-        for name, mat, kind in (("x", x, x_kind), ("y", y, y_kind)):
-            if kind != "continuous":
-                continue
-            mean = mat[:, train].mean(axis=1)
+    train = split.train_idx if split is not None else np.arange(n_rows)
+    built, stats = {}, {}
+    for p, (cols, kind) in sides.items():
+        if kind == "onehot":
+            built[p] = one_hot_encode(texts[p][1])
+            continue
+        mat = np.ascontiguousarray(table[[header[i] in cols for i in numeric]])
+        if standardize:
             std = mat[:, train].std(axis=1)
-            std = np.where(std > 0, std, 1.0)
-            mat -= mean[:, None]
-            mat /= std[:, None]
-            stats[name] = {"mean": mean.tolist(), "std": std.tolist()}
+            stats[p] = {"mean": mat[:, train].mean(axis=1).tolist(),
+                        "std": np.where(std > 0, std, 1.0).tolist()}
+            mat = apply_standardization(stats[p], mat)
+        built[p] = mat, None
+    provenance = {"source": "csv", "path": str(path), "x_columns": sides["x"][0],
+                  "y_columns": sides["y"][0], "standardize": bool(standardize),
+                  "test_fraction": test_fraction, "split_seed": split_seed}
+    if standardize:
         provenance["standardization"] = stats
+    (x, x_labels), (y, y_labels) = built["x"], built["y"]
     return PairedDataset(
-        x=x, y=y, x_kind=x_kind, y_kind=y_kind,
+        x=x, y=y, x_kind=sides["x"][1], y_kind=sides["y"][1],
         x_labels=x_labels, y_labels=y_labels, split=split, provenance=provenance,
     )
 

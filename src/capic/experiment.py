@@ -31,7 +31,6 @@ see :mod:`capic.datasets`.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -40,12 +39,12 @@ from pathlib import Path
 import numpy as np
 
 from . import factor_plane as fp
-from .classical import ca_decompose, contingency_from_pmf, contingency_from_samples
-from .datasets import PairedDataset, Split, load_csv, one_hot_decode
+from .classical import ContingencyTable, ca_decompose, contingency_from_pmf
+from .datasets import PairedDataset, Split, load_csv
 from .errors import ContractViolationError, CsvParseError
 from .fileio import (
-    csv_text, labelled_csv_text, open_input, read_json_object, sha256_of_json, write_json_atomic,
-    write_text_atomic,
+    csv_records, csv_text, labelled_csv_text, open_input, read_json_object, sha256_of_json,
+    write_json_atomic, write_text_atomic,
 )
 from .model import CaNnModel, fit_ca_nn_model, load_model, save_model
 from .neural import MlpConfig, TrainConfig, encode, evaluate_loss, forward, mlp_init
@@ -200,24 +199,22 @@ def read_pmf_csv(path):
     cell), so the file's cells are never all held as Python objects.
     """
     with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        records = csv_records(fh, path)
+        _, header = next(records, (1, None))
         if header is None:
             raise CsvParseError(f"{path}: file is empty", line=1)
         y_labels = header[1:]
         if not y_labels:
             raise CsvParseError(f"{path}: header has no y labels", line=1)
         x_labels, table = [], []
-        line_no = reader.line_num + 1  # the physical line the next row starts on
-        for row in reader:
+        for line, row in records:
             if len(row) != len(y_labels) + 1:
-                raise CsvParseError(f"{path}: row width mismatch", line=line_no)
+                raise CsvParseError(f"{path}: row width mismatch", line=line)
             x_labels.append(row[0])
             try:
                 table.append(np.fromiter(map(float, row[1:]), np.float64, len(y_labels)))
             except ValueError:
-                raise CsvParseError(f"{path}: non-numeric table entry", line=line_no) from None
-            line_no = reader.line_num + 1
+                raise CsvParseError(f"{path}: non-numeric table entry", line=line) from None
     return np.asarray(table), tuple(x_labels), tuple(y_labels)
 
 
@@ -332,9 +329,8 @@ def _run_svd(cfg, out, cfg_hash):
         ds = build_dataset(dcfg)
         if ds.x_kind != "onehot" or ds.y_kind != "onehot":
             raise ContractViolationError("svd mode needs categorical x and y columns")
-        xs = one_hot_decode(ds.x, ds.x_labels)
-        ys = one_hot_decode(ds.y, ds.y_labels)
-        table = contingency_from_samples(xs, ys)
+        counts = ds.x @ ds.y.T  # exact integer counts of the (x, y) label pairs
+        table = ContingencyTable(counts / counts.sum(), ds.x_labels, ds.y_labels)
     else:
         raise ContractViolationError("svd mode supports dataset sources pmf_csv and csv")
     decomp = ca_decompose(table)

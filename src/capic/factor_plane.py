@@ -16,7 +16,6 @@ per-point loop would.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass, field
 from itertools import chain
@@ -26,7 +25,7 @@ import numpy as np
 
 from .classical import CaDecomposition
 from .errors import ContractViolationError, CsvParseError, UnsupportedOperationError
-from .fileio import csv_text, labelled_csv_text
+from .fileio import csv_records, csv_text, labelled_csv_text
 from .neural import forward
 from .whitening import PrincipalFunctions
 
@@ -155,17 +154,13 @@ def plane_from_csv(text: str) -> FactorPlane:
     with ``\\n`` and so leaves such a ``\\r`` unquoted, and the document
     raises :class:`CsvParseError`.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
-    rows, line = [], 1  # rows are (line the row starts on, fields)
+    rows = list(csv_records(io.StringIO(text, newline=""), "malformed factor-plane document"))
+    if not rows or rows[0][1] != [PLANE_CSV_HEADER]:
+        raise CsvParseError("not a factor-plane document", line=1)
+    if [fields[:1] for _, fields in rows[1:4]] != [["axes"], ["score_ratios"], ["role"]]:
+        raise CsvParseError("malformed factor-plane preamble", line=2)
+    points = {"x": [], "y": []}
     try:
-        for fields in reader:
-            rows.append((line, fields))
-            line = reader.line_num + 1
-        if not rows or rows[0][1] != [PLANE_CSV_HEADER]:
-            raise CsvParseError("not a factor-plane document", line=1)
-        if [fields[:1] for _, fields in rows[1:4]] != [["axes"], ["score_ratios"], ["role"]]:
-            raise CsvParseError("malformed factor-plane preamble", line=2)
-        points = {"x": [], "y": []}
         for k, (line, fields) in enumerate(rows[1:], start=1):
             if len(fields) != (3 if k < 3 else 4):
                 raise CsvParseError(f"row has {len(fields)} fields", line=line)
@@ -175,7 +170,7 @@ def plane_from_csv(text: str) -> FactorPlane:
                 ratios = (float(fields[1]), float(fields[2]))
             elif k > 3:
                 points[fields[0]].append((fields[1], float(fields[2]), float(fields[3])))
-    except (csv.Error, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise CsvParseError(f"malformed factor-plane document: {exc}", line=line) from None
     return FactorPlane(*axes, points["x"], points["y"], ratios)
 

@@ -1,4 +1,4 @@
-"""Deterministic file output helpers, and the opening of input files.
+"""Deterministic file output helpers, and the opening and reading of input files.
 
 Artifacts are written atomically (temp file in the target directory,
 then rename) and contain no timestamps, so rerunning a configuration
@@ -18,6 +18,9 @@ quoting, floats by ``repr`` so they read back exactly):
   see :mod:`capic.datasets`), it formats each distinct row once; without
   an index it writes row by row.  Either way every row holds the same
   bytes a ``repr`` per cell would give.
+
+One CSV reader, :func:`csv_records`, reads every input table and gives
+each record the physical line it starts on, for error messages.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import json
 import os
 import tempfile
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, CsvParseError
 
 
 def _umask() -> int:
@@ -44,6 +47,21 @@ def open_input(path, newline=None):
         return open(path, newline=newline)
     except OSError as exc:
         raise ContractViolationError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def csv_records(fh, context):
+    """``(line, fields)`` per CSV record of ``fh``: a quoted newline makes a record span lines.
+
+    A record the csv module rejects raises :class:`CsvParseError`, ``f"{context}: {reason}"``.
+    """
+    reader = csv.reader(fh)
+    line = 1
+    try:
+        for fields in reader:
+            yield line, fields
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise CsvParseError(f"{context}: {exc}", line=line) from None
 
 
 def read_json_object(path) -> dict:

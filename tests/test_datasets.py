@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from capic.datasets import (
     apply_standardization,
     load_csv,
     make_split,
-    one_hot_decode,
     one_hot_encode,
     synthetic_wine_csv,
 )
@@ -64,6 +65,38 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="line 3"):
             load_csv(path, {"a": "x-continuous", "b": "y-continuous"})
 
+    @pytest.mark.parametrize("last_row,message", ids=["short-row", "non-numeric"], argvalues=[
+        ("3\n", "row has 1 fields"),
+        ("z,oops\n", "non-numeric value 'oops' in continuous column 'b'"),
+    ])
+    def test_quoted_newline_rows_name_physical_line(self, tmp_path, last_row, message):
+        # the quoted x cell spans lines 2-3, so the last row starts on line 4
+        path = write(tmp_path, "bad.csv", 'a,b\n"x\ny",2\n' + last_row)
+        with pytest.raises(CsvParseError, match=f"{message}.* \\(line 4\\)$") as info:
+            load_csv(path, {"a": "x-categorical", "b": "y-continuous"})
+        assert info.value.line == 4
+
+    def test_record_the_csv_module_rejects_names_line(self, tmp_path):
+        path = write(tmp_path, "big.csv", "a,b\n1,2\n3," + "4" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(CsvParseError, match="field larger than field limit.* \\(line 3\\)$"):
+            load_csv(path, {"a": "x-continuous", "b": "y-continuous"})
+
+    def test_parses_each_continuous_cell_with_float(self, tmp_path):
+        cells = [["0.1", "1e-300"], ["0.30000000000000004", "2.5e16"], ["nan", "-0.0"],
+                 ["1_000", "0.1"]]
+        path = tmp_path / "cells.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([["u", "q", "v"]] + [[a, "r\n1", b] for a, b in cells])
+        ds = load_csv(path, {"u": "x-continuous", "q": "y-categorical", "v": "x-continuous"})
+        expected = np.array([[float(c) for c in row] for row in cells]).T
+        assert ds.x.dtype == np.float64 and ds.x.tobytes() == expected.tobytes()
+        assert ds.y_labels == ("r\n1",) and ds.x.flags.c_contiguous
+
+    def test_repeated_header_column_rejected(self, tmp_path):
+        path = write(tmp_path, "dup.csv", "a,a,b\n1,2,x\n3,4,y\n")
+        with pytest.raises(CsvParseError, match=r"header repeats columns \['a'\] \(line 1\)$"):
+            load_csv(path, {"a": "x-continuous", "b": "y-categorical"})
+
     def test_missing_schema_column(self, tmp_path):
         path = write(tmp_path, "bad.csv", "a,b\n1,2\n")
         with pytest.raises(CsvParseError, match="missing"):
@@ -105,7 +138,7 @@ class TestOneHot:
         values = ["c", "a", "b", "a"]
         mat, labels = one_hot_encode(values)
         assert labels == ("a", "b", "c")
-        assert one_hot_decode(mat, labels) == values
+        assert [labels[i] for i in mat.argmax(axis=0)] == values
 
     def test_columns_sum_to_one(self):
         mat, _ = one_hot_encode([1, 2, 2, 3])

@@ -7,7 +7,7 @@ import pytest
 
 from capic import experiment, fileio
 from capic import factor_plane as fp
-from capic.classical import ca_decompose, contingency_from_pmf
+from capic.classical import ca_decompose, contingency_from_pmf, contingency_from_samples
 from capic.cli import main
 from capic.datasets import WINE_SCHEMA, synthetic_wine_csv
 from capic.experiment import build_dataset, evaluate_model, read_pmf_csv, run_experiment
@@ -98,6 +98,25 @@ class TestRunExperiment:
         assert not (out / "model.json").exists()  # no training happened
         sigma = float(scores[1].split(",")[1])
         assert sigma == pytest.approx(0.6, abs=1e-12)  # hand-computed 2x2
+
+    def test_svd_mode_on_categorical_csv(self, tmp_path):
+        rng = np.random.default_rng(4)
+        xs = rng.choice(["b", "a", "c,d", 'say "e"'], size=300).tolist()
+        ys = [x if rng.random() < 0.6 else rng.choice(["a", "b", "z"]) for x in xs]
+        csv_path = tmp_path / "pairs.csv"
+        fileio.write_text_atomic(csv_path, fileio.csv_text(["x", "y"], zip(xs, ys)))
+        cfg = {
+            "version": 1, "mode": "svd", "output_dir": str(tmp_path / "svd"),
+            "dataset": {"source": "csv", "path": str(csv_path),
+                        "schema": {"x": "x-categorical", "y": "y-categorical"}},
+        }
+        out = run_experiment(cfg)
+        table = contingency_from_samples(xs, ys)
+        decomp = ca_decompose(table)
+        for side, letter, labels, factors in (("x", "f", table.x_labels, decomp.l_factors),
+                                              ("y", "g", table.y_labels, decomp.r_factors)):
+            experiment._write_factor_table(tmp_path / side, "label", letter, labels, factors)
+            assert (out / f"factors_{side}.csv").read_bytes() == (tmp_path / side).read_bytes()
 
     def test_svd_planes_are_the_exported_planes(self, tmp_path):
         pmf_path = tmp_path / "table.csv"

@@ -1,10 +1,13 @@
+import csv
+import io
 import os
 import stat
 
 import numpy as np
 import pytest
 
-from capic.fileio import csv_text, labelled_csv_text, write_text_atomic
+from capic.errors import CsvParseError
+from capic.fileio import csv_records, csv_text, labelled_csv_text, write_text_atomic
 from capic.linalg import distinct_rows
 
 
@@ -106,3 +109,16 @@ def test_too_few_labels_raise_index_error(matrix):
     # labels are indexed by row, never zipped: a short label list is an error
     with pytest.raises(IndexError):
         emitted_table_text(["label", "g0", "g1"], ["a", "b"], matrix)
+
+
+def test_csv_records_give_the_line_each_record_starts_on():
+    text = 'a,b\n"x\ny",2\n\n"p\n\nq"\n3\n'
+    assert list(csv_records(io.StringIO(text, newline=""), "t")) == [
+        (1, ["a", "b"]), (2, ["x\ny", "2"]), (4, []), (5, ["p\n\nq"]), (8, ["3"])]
+
+
+def test_csv_records_name_the_line_of_a_rejected_record():
+    text = 'a\n"x\ny"\n' + "z" * (csv.field_size_limit() + 1) + "\n"
+    with pytest.raises(CsvParseError, match=r"^where: field larger .* \(line 4\)$") as info:
+        list(csv_records(io.StringIO(text, newline=""), "where"))
+    assert info.value.line == 4
