@@ -41,15 +41,13 @@ def _cmd_train(args):
 
 
 def _cmd_svd(args):
-    if args.config:
+    if args.pmf is None:
         cfg = load_config(args.config)
-    elif args.pmf:
-        cfg = {"version": 1, "mode": "svd", "dataset": {"source": "pmf_csv", "path": args.pmf}}
-        if args.plane:
-            cfg["planes"] = [args.plane]
     else:
-        raise CaError("svd needs --config or --pmf")
+        cfg = {"version": 1, "dataset": {"source": "pmf_csv", "path": args.pmf}}
     cfg["mode"] = "svd"
+    if args.plane:
+        cfg["planes"] = [args.plane]
     out = run_experiment(cfg, seed=args.seed, out_dir=args.out)
     print(f"artifacts written to {out}")
     return 0
@@ -134,9 +132,11 @@ def build_parser():
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("svd", help="classical decomposition of a table or dataset")
-    p.add_argument("--config", default=None)
-    p.add_argument("--pmf", default=None, help="joint-table CSV (labels in header/first column)")
-    p.add_argument("--plane", type=int, nargs=2, metavar=("I", "J"), default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config")
+    source.add_argument("--pmf", help="joint-table CSV (labels in header/first column)")
+    p.add_argument("--plane", type=int, nargs=2, metavar=("I", "J"), default=None,
+                   help="write this factor plane (in place of a config's planes)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_svd)

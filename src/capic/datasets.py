@@ -14,7 +14,7 @@ the codes:
 
 * a full-batch training step (:func:`capic.neural.train_ca_nn`) runs
   each net once per distinct column and takes the loss over the
-  distinct (x, y) pairs, weighted by their counts;
+  distinct (x, y) pairs, each pair's outputs scaled by its count;
 * the float64 passes (the initial loss, the trained nets' pass in
   :func:`capic.model.fit_ca_nn_model` and
   :func:`capic.experiment.evaluate_model`) run each net once per

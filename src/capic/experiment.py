@@ -18,8 +18,8 @@ A run is described by one JSON document::
 
 Dataset sources: ``bsc``, ``gaussian``, ``multimodal`` (synthetic, all
 seeded), ``csv`` (path + column schema + optional standardize /
-test_fraction / split_seed) and ``pmf_csv`` (exact joint table, svd
-mode only).  A ``--seed S`` override rewrites every seed in the
+test_fraction / split_seed; svd mode counts the training split) and
+``pmf_csv`` (exact joint table, svd mode only).  A ``--seed S`` override rewrites every seed in the
 document deterministically (dataset S, f_net S+1, g_net S+2, train
 S+3).  Artifacts carry the hash of the resolved config and contain no
 timestamps, so a rerun with the same numpy/BLAS build and the same BLAS
@@ -329,7 +329,8 @@ def _run_svd(cfg, out, cfg_hash):
         ds = build_dataset(dcfg)
         if ds.x_kind != "onehot" or ds.y_kind != "onehot":
             raise ContractViolationError("svd mode needs categorical x and y columns")
-        counts = ds.x @ ds.y.T  # exact integer counts of the (x, y) label pairs
+        x, y = ds.train_arrays()
+        counts = x @ y.T  # exact integer counts of the training split's (x, y) label pairs
         table = ContingencyTable(counts / counts.sum(), ds.x_labels, ds.y_labels)
     else:
         raise ContractViolationError("svd mode supports dataset sources pmf_csv and csv")

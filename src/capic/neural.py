@@ -15,18 +15,25 @@ in float64.  The trained weights come back as float64 copies;
 whitening, evaluation and the saved model run in float64 on those.
 
 Full-batch encoding: a full-batch step takes the loss over the distinct
-(x, y) pairs of the training split, weighted by their counts over n
-(at most 1024 pairs on BSC-5, against 15000 samples), and runs each net
-once per distinct column of its side (the dataset's column codes, see
-:mod:`capic.datasets`).  The pairs' output gradients are summed per
-column before :func:`backward`.  That is the exact gradient of the
-n-sample loss: the hidden deltas are linear in the output delta, so
-summing first changes only rounding, and nothing in the step scales
-with n.  When no pair repeats or there are fewer pairs than output
-components, the loss runs unweighted on the n samples, gathered from
-each side's distinct columns.  Mini-batches keep the plain per-sample
-path: a batch of 64 holds few repeats, and the fixed per-step cost of
-the gather and the sums outweighs the smaller products.
+(x, y) pairs of the training split (at most 1024 pairs on BSC-5,
+against 15000 samples), and runs each net once per distinct column of
+its side (the dataset's column codes, see :mod:`capic.datasets`).  A
+pair that stands for c of the n samples has its f and g outputs scaled
+by ``sqrt(P * c / n)``, P the number of pairs, so the plain ``1/P`` loss
+of :mod:`capic.objective` on the P scaled columns is the n-sample loss.
+That is exact because every term of the loss is an uncentered second
+moment of the output columns (``C_f``, ``C_fg``, the g-energy); a
+centered statistic would need true weights.  The gradient at a pair's
+unscaled outputs is its scaled columns' gradient times the same
+factor, and the pairs' output gradients are summed per column before
+:func:`backward`.  That is the exact gradient of the n-sample loss:
+the hidden deltas are linear in the output delta, so summing first
+changes only rounding, and nothing in the step scales with n.  When no
+pair repeats or there are fewer pairs than output components, the loss
+runs unscaled on the n samples, gathered from each side's distinct
+columns.  Mini-batches keep the plain per-sample path: a batch of 64
+holds few repeats, and the fixed per-step cost of the gather and the
+sums outweighs the smaller products.
 """
 
 from __future__ import annotations
@@ -196,24 +203,31 @@ class _Encoding(NamedTuple):
     ``inverse`` maps the loss's columns (samples or pairs) to the input
     columns (loss column ``i`` is input column ``inverse[i]``), or is
     None when the input columns are the loss's.  ``gathered`` holds the
-    float64 outputs the loss sees.
+    float64 outputs the loss sees, each loss column times its ``scale``
+    when that is not None (the pair scale, see the module docstring).
     """
 
     columns: np.ndarray
     buffers: StepBuffers
     inverse: np.ndarray | None = None
     gathered: np.ndarray | None = None
+    scale: np.ndarray | None = None
 
     def gather(self, out):
         """The loss's outputs, from the outputs of the input columns."""
         if self.inverse is None:
             return out
-        return np.take(out.astype(np.float64), self.inverse, axis=1, out=self.gathered)
+        gathered = np.take(out.astype(np.float64), self.inverse, axis=1, out=self.gathered)
+        if self.scale is not None:
+            gathered *= self.scale
+        return gathered
 
     def group_sum(self, grad):
         """The gradient at the input columns: the loss columns' gradients summed per column."""
         if self.inverse is None:
             return grad
+        if self.scale is not None:
+            grad = grad * self.scale
         width = self.columns.shape[1]
         return np.stack([np.bincount(self.inverse, weights=row, minlength=width) for row in grad])
 
@@ -237,36 +251,38 @@ def encode(p: MlpParams, a, codes: ColumnCodes | None) -> np.ndarray:
     return gather_columns(forward(p, distinct_columns(a, codes))[0], codes)
 
 
-def _side_encoding(p: MlpParams, a, codes: ColumnCodes | None, inverse) -> _Encoding:
+def _side_encoding(p: MlpParams, a, codes: ColumnCodes | None, inverse, scale) -> _Encoding:
     """Encode the samples ``a`` through their distinct columns (all of them without codes).
 
-    ``inverse`` maps the loss's columns to the distinct ones.
+    ``inverse`` maps the loss's columns to the distinct ones, and
+    ``scale`` (or None) scales the loss's columns.
     """
     if codes is None:
         return _Encoding(a, StepBuffers(p, a.shape[1]))
     gathered = np.empty((p.config.out_width, inverse.size))
-    return _Encoding(a[:, codes.first], StepBuffers(p, codes.first.size), inverse, gathered)
+    return _Encoding(a[:, codes.first], StepBuffers(p, codes.first.size), inverse, gathered, scale)
 
 
 def _full_batch_encodings(f: MlpParams, g: MlpParams, x, y, codes):
-    """``(f_enc, g_enc, weights)`` for a full-batch step on the split ``(x, y)``.
+    """``(f_enc, g_enc)`` for a full-batch step on the split ``(x, y)``.
 
     ``codes`` are the split's ``(x, y)`` :class:`~capic.datasets.ColumnCodes`.
-    The loss runs on the distinct (x, y) pairs with ``weights`` their
-    counts over n, or on the n samples with ``weights`` None when no pair
-    repeats or there are fewer pairs than output components.
+    The loss runs on the distinct (x, y) pairs, scaled by the square
+    root of P times their counts over n, or unscaled on the n samples
+    when no pair repeats or there are fewer pairs than output components.
     """
     n = x.shape[1]
     x_codes, y_codes = codes
     x_inv, y_inv = (None if c is None else c.inverse for c in codes)
-    weights = None
+    scale = None
     if x_codes is not None and y_codes is not None:
         width = y_codes.first.size
         pairs, counts = np.unique(x_inv * width + y_inv, return_counts=True)
         if f.config.out_width <= pairs.size < n:
             x_inv, y_inv = np.divmod(pairs, width)
-            weights = counts / n
-    return _side_encoding(f, x, x_codes, x_inv), _side_encoding(g, y, y_codes, y_inv), weights
+            # the integer product first, so that c / n and 2c / 2n round alike
+            scale = np.sqrt(pairs.size * counts / n)
+    return _side_encoding(f, x, x_codes, x_inv, scale), _side_encoding(g, y, y_codes, y_inv, scale)
 
 
 def _activate(z, kind):
@@ -461,7 +477,7 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
     params are float64 copies of the trained float32 values.  A
     full-batch step encodes each distinct input column once (the
     dataset's column codes) and takes the loss over the distinct (x, y)
-    pairs weighted by their counts, with the exact gradient of the
+    pairs, scaled by their counts, with the exact gradient of the
     n-sample loss; mini-batch steps encode every sample of the batch.
 
     Raises :class:`TrainingDivergedError` with the offending epoch index
@@ -491,9 +507,8 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
         y = np.ascontiguousarray(y, dtype=np.float32)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ContractViolationError("training data exceeds the float32 range")
-    weights = None
     if t_cfg.batch_size == "full":
-        f_full, g_full, weights = _full_batch_encodings(f, g, x, y, data.train_codes)
+        f_full, g_full = _full_batch_encodings(f, g, x, y, data.train_codes)
     f_pool, g_pool = {}, {}  # mini-batch width -> StepBuffers
     opt = _make_optimizer(t_cfg)
     rng = np.random.default_rng(t_cfg.seed)
@@ -527,11 +542,8 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
                         f"non-finite encoder outputs at epoch {epoch}", epoch=epoch
                     )
                 try:
-                    report = pic_loss(
-                        BatchOutputs(f_enc.gather(f_out), g_enc.gather(g_out)),
-                        eps=t_cfg.loss_eps,
-                        weights=weights,
-                    )
+                    outputs = BatchOutputs(f_enc.gather(f_out), g_enc.gather(g_out))
+                    report = pic_loss(outputs, eps=t_cfg.loss_eps)
                     if not np.isfinite(report.loss):
                         raise TrainingDivergedError(
                             f"non-finite loss at epoch {epoch}", epoch=epoch

@@ -9,12 +9,6 @@ cross-covariance ``C_f^{-1/2} C_fg`` with ``C_f = (1/n) F F^T`` and
 ``C_fg = (1/n) F G^T``.  Minimizing it drives the two encoders toward
 the leading principal-function pairs of the joint distribution.
 
-The loss sees the data only through the distribution of its columns,
-so it can also be taken under column weights ``w`` (a probability
-vector): ``C_f = F diag(w) F^T``, ``C_fg = F diag(w) G^T`` and the
-g-energy ``sum_i w_i ||g_i||^2``.  With ``w`` the counts of the distinct
-(f, g) columns over n, that is the n-sample loss on far fewer columns.
-
 The Ky-Fan term is evaluated as ``sum sqrt(eig(M))`` with
 ``M = C_fg^T (C_f^{-1} + eps*I) C_fg``.  This equals the nuclear norm of
 ``(C_f^{-1} + eps*I)^{1/2} C_fg``, which is the nuclear norm above at
@@ -80,32 +74,8 @@ class LossReport:
     grad_g: np.ndarray
 
 
-def _column_weights(weights, n):
-    """``weights`` as a float64 probability vector over n columns, or None."""
-    if weights is None:
-        return None
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise ContractViolationError(f"weights must have shape ({n},), got {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ContractViolationError("weights contain non-finite entries")
-    if np.any(w < 0):
-        raise ContractViolationError("weights must be non-negative")
-    if abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ContractViolationError(f"weights must sum to 1, got {float(w.sum())!r}")
-    return w
-
-
-def empirical_covariances(b: BatchOutputs, weights=None):
-    """Batch estimates ``C_f``, ``C_fg`` and the mean squared g-norm.
-
-    ``weights`` (a length-n probability vector) weights the columns;
-    None gives each ``1/n``.
-    """
-    w = _column_weights(weights, b.n)
-    if w is not None:
-        f_w = b.f_tilde * w
-        return f_w @ b.f_tilde.T, f_w @ b.g_tilde.T, float(np.square(b.g_tilde).sum(axis=0) @ w)
+def empirical_covariances(b: BatchOutputs):
+    """Batch estimates ``C_f``, ``C_fg`` and the mean squared g-norm."""
     n = b.n
     c_f = b.f_tilde @ b.f_tilde.T / n
     c_fg = b.f_tilde @ b.g_tilde.T / n
@@ -142,37 +112,22 @@ def _kyfan_surrogate(c_f, c_fg, eps):
     return kyfan, grad_cf, grad_cfg
 
 
-def pic_loss(b: BatchOutputs, eps: float = DEFAULT_EPS, weights=None) -> LossReport:
+def pic_loss(b: BatchOutputs, eps: float = DEFAULT_EPS) -> LossReport:
     """Loss, term breakdown and batch-output gradients for one batch.
 
     ``eps`` regularizes the inverse covariance inside the Ky-Fan term;
     the training default keeps the term finite even for badly scaled
     encoders, while ``eps = 0`` reports the unregularized objective and
     raises :class:`SingularCovarianceError` if ``C_f`` is singular.
-
-    ``weights`` is None (each column weighs ``1/n``) or a length-n
-    probability vector that takes the place of ``1/n`` column by column
-    in the covariances and both gradients (see the module docstring).
-    A full-batch step of :func:`capic.neural.train_ca_nn` passes the
-    counts of the split's distinct (x, y) pairs over n.  Weights that
-    are not finite, non-negative and summing to 1 raise
-    :class:`ContractViolationError`.
     """
     if eps < 0:
         raise ContractViolationError("eps must be >= 0")
     n = b.n
-    w = _column_weights(weights, n)
-    c_f, c_fg, g_energy = empirical_covariances(b, w)
+    c_f, c_fg, g_energy = empirical_covariances(b)
     kyfan, grad_cf, grad_cfg = _kyfan_surrogate(c_f, c_fg, eps)
     loss = -2.0 * kyfan + g_energy
     # Chain covariance-space gradients to the batch matrices and fold in
     # the -2 factor and the g-energy term.
-    if w is not None:
-        f_w, g_w = b.f_tilde * w, b.g_tilde * w
-        grad_f = -2.0 * (2.0 * grad_cf @ f_w + grad_cfg @ g_w)
-        grad_g = -2.0 * (grad_cfg.T @ f_w) + 2.0 * g_w
-        return LossReport(loss, kyfan, g_energy, grad_f, grad_g)
     grad_f = -2.0 * ((2.0 / n) * grad_cf @ b.f_tilde + (1.0 / n) * grad_cfg @ b.g_tilde)
     grad_g = -2.0 * ((1.0 / n) * grad_cfg.T @ b.f_tilde) + (2.0 / n) * b.g_tilde
     return LossReport(loss, kyfan, g_energy, grad_f, grad_g)
-

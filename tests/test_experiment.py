@@ -10,6 +10,7 @@ from capic import factor_plane as fp
 from capic.classical import ca_decompose, contingency_from_pmf, contingency_from_samples
 from capic.cli import main
 from capic.datasets import WINE_SCHEMA, synthetic_wine_csv
+from capic.errors import ContractViolationError
 from capic.experiment import build_dataset, evaluate_model, read_pmf_csv, run_experiment
 from capic.factor_plane import FactorPlane, export_factor_plane, plane_from_csv, plane_to_csv
 from capic.fileio import dump_json
@@ -117,6 +118,45 @@ class TestRunExperiment:
                                               ("y", "g", table.y_labels, decomp.r_factors)):
             experiment._write_factor_table(tmp_path / side, "label", letter, labels, factors)
             assert (out / f"factors_{side}.csv").read_bytes() == (tmp_path / side).read_bytes()
+
+    @staticmethod
+    def _categorical_csv_config(tmp_path, xs, ys, test_fraction):
+        csv_path = tmp_path / "pairs.csv"
+        fileio.write_text_atomic(csv_path, fileio.csv_text(["x", "y"], zip(xs, ys)))
+        return {
+            "version": 1, "mode": "svd", "output_dir": str(tmp_path / f"svd{test_fraction}"),
+            "dataset": {"source": "csv", "path": str(csv_path), "test_fraction": test_fraction,
+                        "split_seed": 5, "schema": {"x": "x-categorical", "y": "y-categorical"}},
+        }
+
+    def test_svd_mode_counts_the_training_rows_of_a_csv(self, tmp_path):
+        rng = np.random.default_rng(6)
+        xs = rng.choice(["a", "b", "c"], size=400).tolist()
+        ys = [x if rng.random() < 0.6 else rng.choice(["a", "b", "z"]) for x in xs]
+        cfg = self._categorical_csv_config(tmp_path, xs, ys, 0.5)
+        out = run_experiment(cfg)
+        train = build_dataset(cfg["dataset"]).split.train_idx
+        assert train.size == 200
+        table = contingency_from_samples([xs[i] for i in train], [ys[i] for i in train])
+        decomp = ca_decompose(table)
+        for side, letter, labels, factors in (("x", "f", table.x_labels, decomp.l_factors),
+                                              ("y", "g", table.y_labels, decomp.r_factors)):
+            experiment._write_factor_table(tmp_path / side, "label", letter, labels, factors)
+            assert (out / f"factors_{side}.csv").read_bytes() == (tmp_path / side).read_bytes()
+        every_row = run_experiment(self._categorical_csv_config(tmp_path, xs, ys, 0.0))
+        assert (every_row / "factors_x.csv").read_bytes() != (out / "factors_x.csv").read_bytes()
+
+    def test_svd_label_seen_only_in_held_out_rows_exits_2(self, tmp_path, capsys):
+        xs, ys = ["a", "b"] * 50, ["a", "b"] * 50
+        cfg = self._categorical_csv_config(tmp_path, xs, ys, 0.5)
+        xs[int(build_dataset(cfg["dataset"]).split.test_idx[0])] = "only-held-out"
+        cfg = self._categorical_csv_config(tmp_path, xs, ys, 0.5)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(dump_json(cfg))
+        assert main(["svd", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        with pytest.raises(ContractViolationError):
+            run_experiment(cfg)
 
     def test_svd_planes_are_the_exported_planes(self, tmp_path):
         pmf_path = tmp_path / "table.csv"
@@ -463,6 +503,30 @@ class TestCli:
         code = main(["svd", "--pmf", str(pmf_path), "--out", str(tmp_path / "svdout")])
         assert code == 0
         assert (tmp_path / "svdout" / "scores.csv").exists()
+
+    def test_svd_plane_flag_on_a_config(self, tmp_path):
+        pmf_path = tmp_path / "table.csv"
+        pmf_path.write_text(",u,v,w\nr1,0.2,0.05,0.05\nr2,0.05,0.2,0.1\nr3,0.1,0.05,0.2\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(dump_json(
+            {"version": 1, "dataset": {"source": "pmf_csv", "path": str(pmf_path)}}
+        ))
+        for route in (["--config", str(cfg_path)], ["--pmf", str(pmf_path)]):
+            out = tmp_path / route[0][2:]
+            assert main(["svd", *route, "--plane", "0", "1", "--out", str(out)]) == 0
+            assert sorted(p.name for p in out.glob("plane_*")) == ["plane_0_1.csv",
+                                                                   "plane_0_1.svg"]
+        assert ((tmp_path / "config" / "plane_0_1.svg").read_bytes()
+                == (tmp_path / "pmf" / "plane_0_1.svg").read_bytes())
+
+    @pytest.mark.parametrize("argv", [[], ["--config", "c.json", "--pmf", "t.csv"]],
+                             ids=["neither", "both"])
+    def test_svd_needs_exactly_one_of_config_and_pmf(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["svd", *argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_oracle_emits_spectrum(self, tmp_path):
         code = main([

@@ -339,12 +339,12 @@ def forward_widths(monkeypatch):
 
 
 def pic_loss_calls(monkeypatch):
-    """Record ``(columns, weights)`` of every ``pic_loss`` call of the training loop."""
+    """Record the column count of every ``pic_loss`` call of the training loop."""
     calls = []
     real_pic_loss = neural.pic_loss
 
     def spy(b, *args, **kwargs):
-        calls.append((b.n, kwargs.get("weights")))
+        calls.append(b.n)
         return real_pic_loss(b, *args, **kwargs)
 
     monkeypatch.setattr(neural, "pic_loss", spy)
@@ -375,7 +375,7 @@ class TestFullBatchDistinctColumns:
     def test_tiling_the_split_leaves_training_unchanged(self):
         # the loss depends on the data only through its empirical
         # distribution, which tiling the split does not change: the pairs
-        # and their weights (2c / 2n rounds as c / n) are the same, so
+        # and their scales (2c / 2n rounds as c / n) are the same, so
         # the runs are bit-identical
         data = bsc_split(3, 400)
         x, y = data.train_arrays()
@@ -402,8 +402,8 @@ class TestFullBatchDistinctColumns:
         calls = pic_loss_calls(monkeypatch)
         run = train_ca_nn(data, *cfgs)
         assert widths == [300] * (2 * cfgs[2].epochs)
-        # no pair repeats, so the loss runs unweighted on the samples
-        assert calls == [(300, None)] * cfgs[2].epochs
+        # no pair repeats, so the loss runs unscaled on the samples
+        assert calls == [300] * cfgs[2].epochs
         assert_runs_agree(run, gd_on_every_sample(data, *cfgs))
 
     def test_fewer_pairs_than_components_keep_the_samples(self, monkeypatch):
@@ -416,7 +416,7 @@ class TestFullBatchDistinctColumns:
         calls = pic_loss_calls(monkeypatch)
         run = train_ca_nn(data, *cfgs)
         assert widths == [2] * (2 * cfgs[2].epochs)
-        assert calls == [(200, None)] * cfgs[2].epochs
+        assert calls == [200] * cfgs[2].epochs
         assert_runs_agree(run, gd_on_every_sample(data, *cfgs))
 
     def test_loss_columns_do_not_scale_with_n(self, monkeypatch):
@@ -426,10 +426,7 @@ class TestFullBatchDistinctColumns:
         for n in (400, 4000):
             calls = pic_loss_calls(monkeypatch)
             train_ca_nn(bsc_split(3, n, delta=0.4), *FULL_BATCH)
-            assert len(calls) == FULL_BATCH[2].epochs  # one call per step
-            for columns, weights in calls:
-                assert columns == 64 and weights.shape == (64,)
-                assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert calls == [64] * FULL_BATCH[2].epochs  # one call per step
 
 
     def test_columns_equal_only_in_float32_keep_their_codes(self, monkeypatch):

@@ -231,63 +231,37 @@ def per_column_sums(grad, counts):
     return np.stack([np.bincount(column, weights=row, minlength=counts.size) for row in grad])
 
 
+def pair_scale(counts):
+    """``sqrt(k * c / n)`` per column: the column scale of a full-batch step's pairs."""
+    return np.sqrt(counts.size * counts / counts.sum())
+
+
+def expanded(f, g, counts):
+    """The batch of samples that the distinct columns stand for."""
+    return BatchOutputs(np.repeat(f, counts, axis=1), np.repeat(g, counts, axis=1))
+
+
 class TestWeightedPicLoss:
+    # the plain loss on the scaled distinct columns is the loss on every
+    # sample; the gradient at an unscaled column is the scaled one's
+    # times the same factor
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     def test_counts_over_n_match_the_expanded_samples(self, eps):
-        # the unweighted loss on every sample is the reference
         f, g, counts = distinct_batch()
-        n = int(counts.sum())
-        rep = pic_loss(BatchOutputs(f, g), eps=eps, weights=counts / n)
-        ref = pic_loss(BatchOutputs(np.repeat(f, counts, axis=1), np.repeat(g, counts, axis=1)),
-                       eps=eps)
+        scale = pair_scale(counts)
+        rep = pic_loss(BatchOutputs(f * scale, g * scale), eps=eps)
+        ref = pic_loss(expanded(f, g, counts), eps=eps)
         assert rep.loss == pytest.approx(ref.loss, abs=1e-12)
         assert rep.kyfan_term == pytest.approx(ref.kyfan_term, abs=1e-12)
         assert rep.g_energy == pytest.approx(ref.g_energy, abs=1e-12)
-        np.testing.assert_allclose(rep.grad_f, per_column_sums(ref.grad_f, counts), atol=1e-12)
-        np.testing.assert_allclose(rep.grad_g, per_column_sums(ref.grad_g, counts), atol=1e-12)
+        np.testing.assert_allclose(rep.grad_f * scale, per_column_sums(ref.grad_f, counts),
+                                   atol=1e-12)
+        np.testing.assert_allclose(rep.grad_g * scale, per_column_sums(ref.grad_g, counts),
+                                   atol=1e-12)
 
     def test_weighted_covariances_match_the_expanded_samples(self):
         f, g, counts = distinct_batch()
-        weighted = empirical_covariances(BatchOutputs(f, g), counts / counts.sum())
-        expanded = empirical_covariances(
-            BatchOutputs(np.repeat(f, counts, axis=1), np.repeat(g, counts, axis=1))
-        )
-        for a, b in zip(weighted, expanded):
+        scale = pair_scale(counts)
+        scaled = empirical_covariances(BatchOutputs(f * scale, g * scale))
+        for a, b in zip(scaled, empirical_covariances(expanded(f, g, counts))):
             np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_uniform_weights_match_no_weights(self):
-        f, g, _ = distinct_batch()
-        rep = pic_loss(BatchOutputs(f, g), weights=np.full(f.shape[1], 1.0 / f.shape[1]))
-        ref = pic_loss(BatchOutputs(f, g))
-        assert rep.loss == pytest.approx(ref.loss, abs=1e-14)
-        np.testing.assert_allclose(rep.grad_f, ref.grad_f, atol=1e-14)
-        np.testing.assert_allclose(rep.grad_g, ref.grad_g, atol=1e-14)
-
-    @pytest.mark.parametrize("eps", [0.0, 1e-3])
-    def test_weighted_gradients_finite_differences(self, eps):
-        f, g, counts = distinct_batch(seed=67)
-        weights = counts / counts.sum()
-
-        def weighted_loss(f, g, eps):
-            rep = pic_loss(BatchOutputs(f, g), eps=eps, weights=weights)
-            return rep.loss, rep.kyfan_term, rep.grad_f, rep.grad_g
-
-        _, _, grad_f, grad_g = weighted_loss(f, g, eps)
-        fd_f, fd_g = central_diff_grads(weighted_loss, f, g, eps)
-        assert max_rel_err(grad_f, fd_f) < 1e-4
-        assert max_rel_err(grad_g, fd_g) < 1e-4
-
-    @pytest.mark.parametrize("weights,message", [
-        (np.full(11, 1 / 11), "shape"),
-        (np.full((1, 12), 1 / 12), "shape"),
-        (np.r_[np.nan, np.full(11, 1 / 11)], "non-finite"),
-        (np.r_[np.inf, np.full(11, 1 / 11)], "non-finite"),
-        (np.r_[-0.5, 1.5, np.zeros(10)], "non-negative"),
-        (np.full(12, 1 / 11), "sum to 1"),
-    ])
-    def test_bad_weights_rejected(self, weights, message):
-        f, g, _ = distinct_batch()
-        with pytest.raises(ContractViolationError, match=message):
-            pic_loss(BatchOutputs(f, g), weights=weights)
-        with pytest.raises(ContractViolationError, match=message):
-            empirical_covariances(BatchOutputs(f, g), weights)
