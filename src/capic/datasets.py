@@ -20,8 +20,10 @@ the codes:
   :func:`capic.experiment.evaluate_model`) run each net once per
   distinct column and gather the outputs back to the samples;
 * the principal functions carry the codes on to the factor tables and
-  planes, which format each distinct row once (:mod:`capic.fileio`,
-  :mod:`capic.factor_plane`).
+  planes of :func:`capic.experiment.run_experiment`, which write such a
+  side once per code: its count in the split and its values at the
+  code's first column.  A one-hot side is written once per label
+  instead, codes or not.
 
 The codes compare float64 bytes.  Columns equal in float64 are equal in
 float32 too, so one set of codes serves the float32 training step and

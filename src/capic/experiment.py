@@ -25,8 +25,8 @@ S+3).  Artifacts carry the hash of the resolved config and contain no
 timestamps, so a rerun with the same numpy/BLAS build and the same BLAS
 thread count reproduces them byte for byte (see :mod:`capic.fileio`).
 
-Repeated columns (one net pass and one artifact row per distinct column):
-see :mod:`capic.datasets`.
+Repeated columns (one net pass per distinct column, one artifact row
+per distinct value): see :mod:`capic.datasets`.
 """
 
 from __future__ import annotations
@@ -259,42 +259,74 @@ def evaluate_model(model: CaNnModel, data: PairedDataset):
             principal(data.test_arrays(), data.test_codes))
 
 
-def _category_points(model: CaNnModel, data: PairedDataset):
-    """A plane's y points and labels: one per category of a one-hot y, else ``None``s."""
-    if data.y_kind != "onehot":
-        return None, None
-    return forward(model.g_params, np.eye(len(data.y_labels)))[0], list(data.y_labels)
+def _side_values(params, rows, kind, labels, codes, arrays):
+    """``(labels, counts, points)``: one side of a split once per distinct value.
+
+    ``rows`` (d x n) are the side's principal-function values and
+    ``arrays`` its columns.  A one-hot side gives one point per label, in
+    label order: the net's output on the label's column (a count may be
+    0).  Another coded side gives one point per code, ``rows[:, codes.first]``,
+    labelled by its column's values.  Points are d x k.  A side without
+    codes and not one-hot gives None: it is written per sample.
+    """
+    if kind == "onehot":
+        counts = np.bincount(arrays.argmax(axis=0), minlength=len(labels))
+        return list(labels), counts, forward(params, np.eye(len(labels)))[0]
+    if codes is None:
+        return None
+    labels = [" ".join(map(repr, column)) for column in arrays[:, codes.first].T.tolist()]
+    return labels, np.bincount(codes.inverse), rows[:, codes.first]
 
 
-def _write_planes(out, source, planes, **export_kw):
-    """Export each ``(i, j)`` of ``planes`` and write ``plane_{i}_{j}.svg`` and ``.csv``."""
+def _split_values(model: CaNnModel, data: PairedDataset, pf, arrays):
+    """The x and y :func:`_side_values` of the split whose principal functions are ``pf``."""
+    return (
+        _side_values(model.f_params, pf.f, data.x_kind, data.x_labels, pf.x_codes, arrays[0]),
+        _side_values(model.g_params, pf.g, data.y_kind, data.y_labels, pf.y_codes, arrays[1]),
+    )
+
+
+def _write_planes(out, source, planes, values=(None, None), **export_kw):
+    """Export each ``(i, j)`` of ``planes`` and write ``plane_{i}_{j}.svg`` and ``.csv``.
+
+    A side with :func:`_side_values` is drawn once per distinct value.
+    """
+    for side, side_values in zip("xy", values):
+        if side_values is not None:
+            export_kw[f"{side}_labels"], _, export_kw[f"{side}_points"] = side_values
     for i, j in planes:
         plane, svg = fp.export_factor_plane(source, i, j, **export_kw)
         write_text_atomic(out / f"plane_{i}_{j}.svg", svg)
         write_text_atomic(out / f"plane_{i}_{j}.csv", fp.plane_to_csv(plane))
 
 
-def _write_factor_table(path, first, letter, labels, points, codes=None):
+def _write_factor_table(path, first, letter, labels, points, counts=None):
     """One row per point (a row of ``points``): its label, then its coordinates.
 
-    Row ``i`` takes ``labels[i]``.  With ``codes`` the rows of ``points``
-    repeat as the codes say, and each distinct row is formatted once.
+    Row ``i`` takes ``labels[i]``.  With ``counts`` (one per distinct
+    value) a ``count`` column follows the label.
     """
     header = [first] + [f"{letter}{k}" for k in range(points.shape[1])]
-    block = ((), labels, points, None) if codes is None else (
-        (), labels, points[codes.first], codes.inverse)
-    write_text_atomic(path, labelled_csv_text(csv_text(header, []), [block]))
+    if counts is None:
+        text = labelled_csv_text(csv_text(header, []), [((), labels, points)])
+    else:
+        text = csv_text(header[:1] + ["count"] + header[1:], (
+            [label, count, *row] for label, count, row in zip(labels, counts.tolist(),
+                                                              points.tolist())))
+    write_text_atomic(path, text)
 
 
-def _write_factor_tables(out, prefix, pf, labels=None):
+def _write_factor_tables(out, prefix, pf, values):
+    """``factors_{x,y}_{prefix}.csv``: one row per value of a side with values, else per sample."""
     samples = range(pf.f.shape[1])
-    _write_factor_table(
-        out / f"factors_x_{prefix}.csv", "index", "f", samples, pf.f.T, pf.x_codes
-    )
-    _write_factor_table(
-        out / f"factors_y_{prefix}.csv", "label", "g",
-        samples if labels is None else labels, pf.g.T, pf.y_codes,
-    )
+    for side, first, letter, rows, side_values in (("x", "index", "f", pf.f, values[0]),
+                                                    ("y", "label", "g", pf.g, values[1])):
+        path = out / f"factors_{side}_{prefix}.csv"
+        if side_values is None:
+            _write_factor_table(path, first, letter, samples, rows.T)
+        else:
+            labels, counts, points = side_values
+            _write_factor_table(path, "label", letter, labels, points.T, counts)
 
 
 def run_experiment(config, seed=None, out_dir=None) -> Path:
@@ -330,6 +362,14 @@ def _run_svd(cfg, out, cfg_hash):
         if ds.x_kind != "onehot" or ds.y_kind != "onehot":
             raise ContractViolationError("svd mode needs categorical x and y columns")
         x, y = ds.train_arrays()
+        for side, labels, rows in (("x", ds.x_labels, x), ("y", ds.y_labels, y)):
+            unseen = [label for label, seen in zip(labels, rows.any(axis=1)) if not seen]
+            if unseen:
+                raise ContractViolationError(
+                    f"{side} labels {unseen} occur only in held-out rows "
+                    f"(test_fraction {ds.provenance['test_fraction']}, "
+                    f"split_seed {ds.provenance['split_seed']})"
+                )
         counts = x @ y.T  # exact integer counts of the training split's (x, y) label pairs
         table = ContingencyTable(counts / counts.sum(), ds.x_labels, ds.y_labels)
     else:
@@ -381,11 +421,12 @@ def _run_train(cfg, out, cfg_hash):
         out / "loss_history.csv", csv_text(["epoch", "loss", "kyfan_term", "g_energy"], rows)
     )
 
-    y_points, y_labels = _category_points(model, data)
-    _write_factor_tables(out, "train", train_pf, labels=y_labels)
+    train_values = _split_values(model, data, train_pf, data.train_arrays())
+    _write_factor_tables(out, "train", train_pf, train_values)
     if test_pf is not None:
-        _write_factor_tables(out, "test", test_pf, labels=y_labels)
-    _write_planes(out, train_pf, cfg.get("planes", []), y_points=y_points, y_labels=y_labels)
+        _write_factor_tables(out, "test", test_pf,
+                             _split_values(model, data, test_pf, data.test_arrays()))
+    _write_planes(out, train_pf, cfg.get("planes", []), train_values)
 
 
 def _evaluate_saved(model_path, config, seed, out_dir):
@@ -412,6 +453,6 @@ def run_eval(model_path, config, seed=None, out_dir=None) -> Path:
 def run_plane(model_path, config, i, j, seed=None, out_dir=None) -> Path:
     """Write the ``(i, j)`` factor plane of a saved model on a config's training split."""
     _, out, model, data, train_pf, _ = _evaluate_saved(model_path, config, seed, out_dir)
-    y_points, y_labels = _category_points(model, data)
-    _write_planes(out, train_pf, [(i, j)], y_points=y_points, y_labels=y_labels)
+    _write_planes(out, train_pf, [(i, j)], _split_values(model, data, train_pf,
+                                                         data.train_arrays()))
     return out

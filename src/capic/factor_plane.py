@@ -6,18 +6,16 @@ scaled by the component correlation), so independent data collapses to
 the origin.  The SVG output is plain deterministic text: same inputs,
 same bytes.
 
-A plane of a trained model has a point per sample.  One exported from
-principal functions that carry column codes (repeated columns: see
-:mod:`capic.datasets`) keeps them, and both writers then format each
-coded position once; a plane without codes (svd mode, a parsed plane,
-category points) is written point by point.  Either gives the bytes a
-per-point loop would.
+A plane of a trained model has a point per sample of a side, unless the
+caller hands that side's points: :mod:`capic.experiment` hands one point
+per distinct value of a discrete side (repeated columns: see
+:mod:`capic.datasets`).  Both writers work point by point.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
@@ -40,20 +38,13 @@ SVG_MAX_X_LABELS = 50
 
 @dataclass
 class FactorPlane:
-    """Two components of both variables' points.
-
-    ``x_codes``/``y_codes`` are the :class:`capic.datasets.ColumnCodes` of
-    the samples behind the points, when points with one code share their
-    coordinates exactly; else None.
-    """
+    """Two components of both variables' points."""
 
     axis_i: int
     axis_j: int
     x_points: list  # (label, coord_i, coord_j)
     y_points: list
     score_ratios: tuple  # share of total inertia on each axis
-    x_codes: object = field(default=None, compare=False, repr=False)
-    y_codes: object = field(default=None, compare=False, repr=False)
 
 
 def _ratios_from_diag(diag, i, j):
@@ -81,29 +72,17 @@ def _coords(points) -> np.ndarray:
     return np.fromiter(values, np.float64, 2 * len(points)).reshape(-1, 2)
 
 
-def _positions(points, codes):
-    """``(coords, inverse)``: the positions to format, and each point's index into them.
-
-    With ``codes``, one position per code (its first point's) and the
-    points' codes; else every point's position and None.
-    """
-    if codes is None:
-        return _coords(points), None
-    return _coords([points[k] for k in codes.first.tolist()]), codes.inverse
-
-
-def export_factor_plane(source, i, j, x_labels=None, y_labels=None, y_points=None):
+def export_factor_plane(source, i, j, x_labels=None, y_labels=None, y_points=None,
+                        x_points=None):
     """Build a :class:`FactorPlane` and its SVG document.
 
     ``source`` is a :class:`CaDecomposition` (categories as points) or
-    a :class:`PrincipalFunctions` (samples as points; ``y_points`` may
-    supply a d x k matrix of per-category coordinates to plot instead
-    of per-sample ones).  The plane keeps the column codes of the
-    principal functions' per-sample points.
+    a :class:`PrincipalFunctions` (samples as points; ``x_points`` or
+    ``y_points`` may supply a d x k matrix of per-value coordinates to
+    plot instead of per-sample ones).
     """
     if i == j:
         raise ContractViolationError("plane axes must differ")
-    codes = (None, None)
     if isinstance(source, CaDecomposition):
         d = source.d
         if not (0 <= i < d and 0 <= j < d):
@@ -117,14 +96,14 @@ def export_factor_plane(source, i, j, x_labels=None, y_labels=None, y_points=Non
         if not (0 <= i < d and 0 <= j < d):
             raise ContractViolationError(f"axes ({i}, {j}) out of range for d={d}")
         diag = source.pic_diagonal
-        xp = _points(source.f.T, diag[i], diag[j], i, j, x_labels, "x")
+        x_mat = source.f if x_points is None else np.asarray(x_points, dtype=np.float64)
         y_mat = source.g if y_points is None else np.asarray(y_points, dtype=np.float64)
+        xp = _points(x_mat.T, diag[i], diag[j], i, j, x_labels, "x")
         yp = _points(y_mat.T, diag[i], diag[j], i, j, y_labels, "y")
         ratios = _ratios_from_diag(diag, i, j)
-        codes = (source.x_codes, source.y_codes if y_points is None else None)
     else:
         raise ContractViolationError(f"cannot plot a {type(source).__name__}")
-    plane = FactorPlane(i, j, xp, yp, ratios, *codes)
+    plane = FactorPlane(i, j, xp, yp, ratios)
     return plane, render_svg(plane)
 
 
@@ -140,9 +119,8 @@ def plane_to_csv(plane: FactorPlane) -> str:
         ["role", "label", "coord_i", "coord_j"],
     ])
     return labelled_csv_text(head, [
-        ((role,), [label for label, _, _ in points], *_positions(points, codes))
-        for role, points, codes in (("x", plane.x_points, plane.x_codes),
-                                    ("y", plane.y_points, plane.y_codes))
+        ((role,), [label for label, _, _ in points], _coords(points))
+        for role, points in (("x", plane.x_points), ("y", plane.y_points))
     ])
 
 
@@ -193,12 +171,8 @@ def render_svg(plane: FactorPlane) -> str:
     points as labelled diamonds.  Axis captions carry the score ratios.
     """
     size, margin = SVG_SIZE, SVG_MARGIN
-    x_rows, x_index = _marks_at(plane.x_points, plane.x_codes)
-    y_rows, y_index = _marks_at(plane.y_points, plane.y_codes)
-    # max() keeps a NaN only from its first item, so the first point and
-    # then the distinct positions give the extent of all the points
-    lead = [(ci, cj) for _, ci, cj in (plane.x_points or plane.y_points)[:1]]
-    extent = max((max(abs(a), abs(b)) for a, b in lead + x_rows + y_rows), default=1.0)
+    x_rows, y_rows = _coords(plane.x_points).tolist(), _coords(plane.y_points).tolist()
+    extent = max((max(abs(a), abs(b)) for a, b in x_rows + y_rows), default=1.0)
     extent = max(extent * 1.12, 1e-9)
     span = size - 2 * margin
 
@@ -240,24 +214,15 @@ def render_svg(plane: FactorPlane) -> str:
         )
 
     x_marks = [x_mark(ci, cj) for ci, cj in x_rows]
-    if show_x_labels:
-        out += _labelled(plane.x_points, x_marks, x_index)
-    else:
-        out += [x_marks[k] for k in x_index]
-    out += _labelled(plane.y_points, [y_mark(ci, cj) for ci, cj in y_rows], y_index)
+    out += _labelled(plane.x_points, x_marks) if show_x_labels else x_marks
+    out += _labelled(plane.y_points, [y_mark(ci, cj) for ci, cj in y_rows])
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
-def _marks_at(points, codes):
-    """The positions to draw a mark at (a list of pairs), and each point's index into them."""
-    coords, inverse = _positions(points, codes)
-    return coords.tolist(), range(len(points)) if inverse is None else inverse.tolist()
-
-
-def _labelled(points, marks, index):
-    """Per point its position's mark (``marks[index[k]]``), its label and ``</text>``."""
-    return [f"{marks[k]}{_esc(label)}</text>" for (label, _, _), k in zip(points, index)]
+def _labelled(points, marks):
+    """Per point its mark, its label and ``</text>``."""
+    return [f"{mark}{_esc(label)}</text>" for (label, _, _), mark in zip(points, marks)]
 
 
 def _esc(text: str) -> str:

@@ -11,13 +11,11 @@ Two CSV writers share one format (``\n`` line ends, the csv module's
 quoting, floats by ``repr`` so they read back exactly):
 
 * :func:`csv_text` writes small tables of mixed cells (loss history,
-  scores, a factor plane's preamble) row by row through the csv module.
-* :func:`labelled_csv_text` writes the large tables: a label per row,
-  then a row of floats (factor tables, a factor plane's points).  Handed
-  the distinct rows and each row's index into them (repeated columns:
-  see :mod:`capic.datasets`), it formats each distinct row once; without
-  an index it writes row by row.  Either way every row holds the same
-  bytes a ``repr`` per cell would give.
+  scores, per-value factor tables, a factor plane's preamble) row by row
+  through the csv module.
+* :func:`labelled_csv_text` writes the large tables row by row: a label
+  per row, then a row of floats (svd-mode and per-sample factor tables,
+  a factor plane's points), the bytes :func:`csv_text` would give.
 
 One CSV reader, :func:`csv_records`, reads every input table and gives
 each record the physical line it starts on, for error messages.
@@ -126,34 +124,24 @@ def _cell(value) -> str:
 def labelled_csv_text(head: str, blocks) -> str:
     """The text ``head`` (say, from :func:`csv_text`), then blocks of labelled float rows.
 
-    Each block is ``(lead, labels, rows, inverse)``.  With ``inverse``
-    None, row ``i`` of the 2-D ``rows`` is written as the cells of
-    ``lead``, ``str(labels[i])`` and the row's values by ``repr``, the
-    same bytes :func:`csv_text` gives such a row.  Otherwise ``rows``
-    holds distinct rows, each formatted once, and output row ``i`` takes
-    ``labels[i]`` and the values of ``rows[inverse[i]]``.  Labels beyond
-    the output rows are ignored; too few raise ``IndexError``.
+    Each block is ``(lead, labels, rows)``: row ``i`` of the 2-D ``rows``
+    is written as the cells of ``lead``, ``str(labels[i])`` and the row's
+    values by ``repr``, the same bytes :func:`csv_text` gives such a row.
+    Labels beyond the rows are ignored; too few raise ``IndexError``.
     """
     buf = io.StringIO()
     buf.write(head)
-    for lead, labels, rows, inverse in blocks:
-        n = len(rows) if inverse is None else len(inverse)
-        if len(labels) < n:
-            raise IndexError(f"{len(labels)} labels for {n} rows")
+    for lead, labels, rows in blocks:
+        if len(labels) < len(rows):
+            raise IndexError(f"{len(labels)} labels for {len(rows)} rows")
         if rows.shape[1] == 0:
             csv.writer(buf, lineterminator="\n").writerows(
-                [*lead, str(labels[i])] for i in range(n)
+                [*lead, str(labels[i])] for i in range(len(rows))
             )
             continue
         prefix = "".join(_cell(cell) + "," for cell in lead)
-        if inverse is None:  # row by row: a wide table is not held as text twice
-            for label, values in zip(labels, rows):
-                buf.write(f"{prefix}{_cell(label)},{','.join(map(repr, values.tolist()))}\n")
-            continue
-        texts = [",".join(map(repr, values)) for values in rows.tolist()]
-        buf.write("".join([
-            f"{prefix}{cell},{texts[k]}\n" for cell, k in zip(map(_cell, labels), inverse.tolist())
-        ]))
+        for label, values in zip(labels, rows):  # a wide table is not held as text twice
+            buf.write(f"{prefix}{_cell(label)},{','.join(map(repr, values.tolist()))}\n")
     return buf.getvalue()
 
 

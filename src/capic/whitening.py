@@ -48,7 +48,8 @@ class PrincipalFunctions:
 
     ``x_codes``/``y_codes`` are the :class:`capic.datasets.ColumnCodes` of
     the samples' x and y columns when f (or g) was gathered through them,
-    so its columns repeat exactly as the codes say; else None.
+    so its columns repeat exactly as the codes say; else None.  The
+    factor tables and planes then take one point per code.
     """
 
     f: np.ndarray               # d x n

@@ -24,6 +24,22 @@ from test_factor_plane import reference_plane_csv, reference_points, reference_r
 from test_fileio import reference_table_text
 
 
+def spy_on(monkeypatch, *names):
+    """Wrap each ``experiment`` function of ``names``; the dict returned gets
+    ``(args, result)`` of its last call under its name."""
+    seen = {}
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name] = (args, fn(*args, **kwargs))
+            return seen[name][1]
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(experiment, name, spy(name, getattr(experiment, name)))
+    return seen
+
+
 def tiny_bsc_config(out_dir, epochs=30):
     return {
         "version": 1,
@@ -154,8 +170,9 @@ class TestRunExperiment:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(dump_json(cfg))
         assert main(["svd", "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        with pytest.raises(ContractViolationError):
+        err = capsys.readouterr().err
+        assert err.startswith("error: x labels ['only-held-out'] occur only in held-out rows")
+        with pytest.raises(ContractViolationError, match="test_fraction 0.5, split_seed 5"):
             run_experiment(cfg)
 
     def test_svd_planes_are_the_exported_planes(self, tmp_path):
@@ -179,35 +196,36 @@ class TestRunExperiment:
     def test_artifacts_are_the_per_row_text_of_the_run_outputs(self, tmp_path, monkeypatch):
         # Every factor table, plane CSV and plane SVG of a train and an svd
         # run equals the per-row reference text of that run's own outputs.
-        seen = {}
-
-        def spy(name, fn):
-            def wrapper(*args, **kwargs):
-                seen[name] = (args, fn(*args, **kwargs))
-                return seen[name][1]
-            monkeypatch.setattr(experiment, name, wrapper)
-
-        spy("evaluate_model", evaluate_model)
-        spy("ca_decompose", ca_decompose)
+        # A BSC-3 side has a row per distinct column (8), labelled by the
+        # column's values, with its count in the split.
+        seen = spy_on(monkeypatch, "evaluate_model", "ca_decompose")
         cfg = tiny_bsc_config(tmp_path / "train", epochs=5)
         cfg["planes"] = [[0, 1], [1, 0]]
         out = run_experiment(cfg)
-        texts = {}
-        for split, pf in zip(("train", "test"), seen["evaluate_model"][1]):
-            n = pf.f.shape[1]
-            texts[f"factors_x_{split}.csv"] = reference_table_text(
-                ["index", "f0", "f1"], range(n), pf.f.T)
-            texts[f"factors_y_{split}.csv"] = reference_table_text(
-                ["label", "g0", "g1"], range(n), pf.g.T)
-        train_pf = seen["evaluate_model"][1][0]
-        diag = train_pf.pic_diagonal
+        (_, data), pfs = seen["evaluate_model"]
+        texts, values = {}, {}
+        for split, pf, arrays in zip(("train", "test"), pfs,
+                                     (data.train_arrays(), data.test_arrays())):
+            for side, letter, rows, codes, columns in (
+                    ("x", "f", pf.f, pf.x_codes, arrays[0]),
+                    ("y", "g", pf.g, pf.y_codes, arrays[1])):
+                assert codes.first.size == 8
+                labels = [" ".join(str(float(v)) for v in columns[:, k]) for k in codes.first]
+                counts = np.bincount(codes.inverse).tolist()
+                assert sum(counts) == pf.f.shape[1]
+                values[split, side] = labels, rows[:, codes.first].T
+                texts[f"factors_{side}_{split}.csv"] = reference_table_text(
+                    ["label", "count", f"{letter}0", f"{letter}1"], labels,
+                    rows[:, codes.first].T, counts=counts)
+        diag = pfs[0].pic_diagonal
+        (x_labels, x_mat), (y_labels, y_mat) = values["train", "x"], values["train", "y"]
         for i, j in cfg["planes"]:
             plane = FactorPlane(
-                i, j, reference_points(train_pf.f.T, diag[i], diag[j], i, j, None),
-                reference_points(train_pf.g.T, diag[i], diag[j], i, j, None),
+                i, j, reference_points(x_mat, diag[i], diag[j], i, j, x_labels),
+                reference_points(y_mat, diag[i], diag[j], i, j, y_labels),
                 fp._ratios_from_diag(diag, i, j),
             )
-            assert len(plane.x_points) > fp.SVG_MAX_X_LABELS
+            assert len(plane.x_points) <= fp.SVG_MAX_X_LABELS  # the SVG labels them
             texts[f"plane_{i}_{j}.csv"] = reference_plane_csv(plane)
             texts[f"plane_{i}_{j}.svg"] = reference_render_svg(plane)
         for name, text in texts.items():
@@ -240,10 +258,50 @@ class TestRunExperiment:
         for name, text in texts.items():
             assert (out / name).read_bytes() == text.encode(), name
 
+    def test_gaussian_run_keeps_its_per_sample_artifacts(self, tmp_path, monkeypatch):
+        # Continuous sides have no repeated column: a row and a point per sample.
+        seen = spy_on(monkeypatch, "evaluate_model")
+        cfg = tiny_bsc_config(tmp_path / "run", epochs=5)
+        cfg["dataset"] = {"source": "gaussian", "sigma1": 1.0, "sigma2": 1.0,
+                          "n_samples": 150, "n_test": 60, "seed": 6}
+        out = run_experiment(cfg)
+        _, pfs = seen["evaluate_model"]
+        texts = {}
+        for split, pf in zip(("train", "test"), pfs):
+            n = pf.f.shape[1]
+            assert pf.x_codes is None and pf.y_codes is None
+            texts[f"factors_x_{split}.csv"] = reference_table_text(
+                ["index", "f0", "f1"], range(n), pf.f.T)
+            texts[f"factors_y_{split}.csv"] = reference_table_text(
+                ["label", "g0", "g1"], range(n), pf.g.T)
+        diag = pfs[0].pic_diagonal
+        plane = FactorPlane(
+            0, 1, reference_points(pfs[0].f.T, diag[0], diag[1], 0, 1, None),
+            reference_points(pfs[0].g.T, diag[0], diag[1], 0, 1, None),
+            fp._ratios_from_diag(diag, 0, 1),
+        )
+        assert len(plane.x_points) == 150
+        texts["plane_0_1.csv"] = reference_plane_csv(plane)
+        texts["plane_0_1.svg"] = reference_render_svg(plane)
+        for name, text in texts.items():
+            assert (out / name).read_bytes() == text.encode(), name
+
+    def test_bsc_artifacts_do_not_grow_with_the_sample_count(self, tmp_path):
+        # BSC-3: 8 distinct x and 8 distinct y values, whatever n is.
+        lines = {}
+        for n in (400, 4000):
+            cfg = tiny_bsc_config(tmp_path / str(n), epochs=2)
+            cfg["dataset"].update(n_samples=n, n_test=n // 4)
+            out = run_experiment(cfg)
+            lines[n] = {p.name: len(p.read_text().splitlines()) for p in out.glob("*.csv")
+                        if p.name != "loss_history.csv"}
+        assert lines[400] == lines[4000]
+        assert set(lines[400].values()) == {1 + 8, 4 + 8 + 8}
+
     def test_repeated_columns_are_found_once_per_split_side(self, tmp_path, monkeypatch):
         # BSC-3 has 8 distinct x and 8 distinct y columns.  After training,
         # every pass runs on those, the repeats are found once per split side,
-        # and the plane still holds the per-point bytes.
+        # and the plane holds the bytes of a point per distinct column.
         forwards, sorts, seen = [], [], {}
         training = []
 
@@ -264,8 +322,8 @@ class TestRunExperiment:
                 training.pop()
 
         def spy_evaluate(*args, **kwargs):
-            seen["evaluate_model"] = evaluate_model(*args, **kwargs)
-            return seen["evaluate_model"]
+            seen["evaluate_model"] = args, evaluate_model(*args, **kwargs)
+            return seen["evaluate_model"][1]
 
         for module in [m for key, m in sys.modules.items() if key.startswith("capic")]:
             for name, spy in (("forward", spy_forward), ("distinct_rows", spy_sort),
@@ -277,11 +335,15 @@ class TestRunExperiment:
         out = run_experiment(cfg)
         assert forwards and max(forwards) <= 8
         assert sorted(sorts) == [100, 100, 400, 400]
-        train_pf = seen["evaluate_model"][0]
+        (_, data), (train_pf, _) = seen["evaluate_model"]
+        x, y = data.train_arrays()
         diag = train_pf.pic_diagonal
+        xf, yf = train_pf.x_codes.first, train_pf.y_codes.first
         plane = FactorPlane(
-            0, 1, reference_points(train_pf.f.T, diag[0], diag[1], 0, 1, None),
-            reference_points(train_pf.g.T, diag[0], diag[1], 0, 1, None),
+            0, 1, reference_points(train_pf.f[:, xf].T, diag[0], diag[1], 0, 1,
+                                   [" ".join(map(str, c)) for c in x[:, xf].T.tolist()]),
+            reference_points(train_pf.g[:, yf].T, diag[0], diag[1], 0, 1,
+                             [" ".join(map(str, c)) for c in y[:, yf].T.tolist()]),
             fp._ratios_from_diag(diag, 0, 1),
         )
         assert (out / "plane_0_1.csv").read_bytes() == reference_plane_csv(plane).encode()
@@ -477,6 +539,28 @@ class TestCli:
             # Same model, same training split: the run's own plane, byte for byte.
             plane_bytes = (tmp_path / "plane" / name).read_bytes()
             assert plane_bytes == (tmp_path / "run" / name).read_bytes()
+
+    def test_train_on_categorical_y_writes_a_row_per_label(self, tmp_path):
+        csv_path = synthetic_wine_csv(tmp_path / "wine.csv", n_samples=300, seed=0)
+        cfg = {
+            "version": 1, "mode": "train", "d": 3,
+            "dataset": {"source": "csv", "path": str(csv_path), "schema": WINE_SCHEMA,
+                        "standardize": True, "test_fraction": 0.2, "split_seed": 0},
+            "f_net": {"hidden": [16], "seed": 1},
+            "g_net": {"hidden": [16], "seed": 2},
+            "train": {"epochs": 2, "batch_size": 64, "optimizer": "adam", "lr": 1e-3, "seed": 3},
+        }
+        cfg_path = tmp_path / "wine.json"
+        cfg_path.write_text(dump_json(cfg))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        data = build_dataset(cfg["dataset"])
+        for split, idx in (("train", data.split.train_idx), ("test", data.split.test_idx)):
+            with open(tmp_path / "run" / f"factors_y_{split}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [row["label"] for row in rows] == [str(l) for l in data.y_labels]
+            assert sum(int(row["count"]) for row in rows) == idx.size
+            lines = (tmp_path / "run" / f"factors_x_{split}.csv").read_text().splitlines()
+            assert len(lines) == 1 + idx.size
 
     def test_plane_of_categorical_y_has_one_y_point_per_label(self, wine_plane):
         data, _, plane = wine_plane

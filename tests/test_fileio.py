@@ -11,24 +11,19 @@ from capic.fileio import csv_records, csv_text, labelled_csv_text, write_text_at
 from capic.linalg import distinct_rows
 
 
-def reference_table_text(header, labels, matrix, lead=()):
+def reference_table_text(header, labels, matrix, lead=(), counts=None):
     """The per-row writer :func:`labelled_csv_text` replaced: one ``csv_text`` row per matrix row.
 
-    Row ``i`` takes ``labels[i]``; the floats go through ``csv_text``'s
-    ``repr`` per cell.
+    Row ``i`` takes ``labels[i]``, then ``counts[i]`` if counts are given;
+    the floats go through ``csv_text``'s ``repr`` per cell.
     """
-    rows = [[*lead, str(labels[i]), *values] for i, values in enumerate(matrix.tolist())]
+    rows = [[*lead, str(labels[i]), *([] if counts is None else [counts[i]]), *values]
+            for i, values in enumerate(matrix.tolist())]
     return csv_text(header, rows)
 
 
 def emitted_table_text(header, labels, matrix, lead=()):
-    return labelled_csv_text(csv_text(header, []), [(lead, labels, matrix, None)])
-
-
-def gathered_table_text(header, labels, matrix, lead=()):
-    """The writer handed each distinct row once and every row's index into them."""
-    first, inverse = distinct_rows(matrix)
-    return labelled_csv_text(csv_text(header, []), [(lead, labels, matrix[first], inverse)])
+    return labelled_csv_text(csv_text(header, []), [(lead, labels, matrix)])
 
 
 def test_written_file_mode_follows_umask(tmp_path):
@@ -69,10 +64,13 @@ def test_table_bytes_match_the_per_row_writer(name):
 
 @pytest.mark.parametrize("name", MATRICES)
 def test_gathered_rows_give_the_per_row_bytes(name):
+    # A per-value table stands for the rows with each code: gathering the
+    # distinct rows back by the codes gives every row's bytes.
     matrix = MATRICES[name]
     header = ["index"] + [f"f{k}" for k in range(matrix.shape[1])]
     labels = range(len(matrix))
-    assert gathered_table_text(header, labels, matrix) == reference_table_text(
+    first, inverse = distinct_rows(matrix)
+    assert emitted_table_text(header, labels, matrix[first][inverse]) == reference_table_text(
         header, labels, matrix
     )
 
@@ -96,7 +94,7 @@ def test_awkward_labels_are_quoted_as_the_csv_module_quotes_them(matrix, lead):
 def test_blocks_follow_the_head_in_order():
     head = csv_text(["# doc"], [["axes", 0, 1], ["ratios", 0.75, 0.125]])
     x, y = np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([[-1.0, 2.0]])
-    text = labelled_csv_text(head, [(("x",), ["a", "b"], x, None), (("y",), ["c,d"], y, None)])
+    text = labelled_csv_text(head, [(("x",), ["a", "b"], x), (("y",), ["c,d"], y)])
     assert text == (
         "# doc\naxes,0,1\nratios,0.75,0.125\n"
         "x,a,0.5,0.5\nx,b,0.5,0.5\n"
