@@ -8,14 +8,15 @@ Repeated columns: CA depends on the data only through the empirical
 joint distribution of (X, Y), so a discrete split matters only through
 its distinct x and y columns and their counts (32 of each in 15000
 BSC-5 samples).  A dataset finds the :class:`ColumnCodes` of each side
-of each split on first use, one sort per side (:func:`column_codes`),
-and keeps them; a side whose columns are all distinct gets None.  With
-the codes:
+of each split on first use, at most one sort per side
+(:func:`column_codes`), and keeps them; a side whose columns are all
+distinct gets None.  With the codes:
 
-* a full-batch training step (:func:`capic.neural.train_ca_nn`) runs
-  each net once per distinct column and takes the loss over the
-  distinct (x, y) pairs, each pair's outputs scaled by its count;
-* the float64 passes (the initial loss, the trained nets' pass in
+* a full-batch training step (:func:`capic.neural.train_ca_nn`) and
+  the initial loss (:func:`capic.neural.evaluate_loss`) run each net
+  once per distinct column and take the loss over the distinct (x, y)
+  pairs, each pair's outputs scaled by its count;
+* the float64 passes (the trained nets' pass in
   :func:`capic.model.fit_ca_nn_model` and
   :func:`capic.experiment.evaluate_model`) run each net once per
   distinct column and gather the outputs back to the samples;
@@ -31,8 +32,8 @@ the float64 passes.  Two columns that differ in float64 but collide in
 float32 keep two codes, which costs a step a column, not exactness (as
 do 0.0 and -0.0, whose bytes differ).  Nothing in capic changes a
 dataset once it is built (a test split is attached with
-:func:`dataclasses.replace`), so the codes found on first use stay
-those of its arrays.
+:func:`dataclasses.replace`), so the split arrays and codes found on
+first use stay those of its arrays.
 """
 
 from __future__ import annotations
@@ -76,9 +77,14 @@ class ColumnCodes(NamedTuple):
 def column_codes(a) -> ColumnCodes | None:
     """The codes of the byte-distinct float64 columns of ``a``; None when none repeats.
 
-    One sort (:func:`capic.linalg.distinct_rows`).
+    When the values of the first row are all distinct no column can
+    repeat, and that one 1-D sort is all it costs (a continuous side).
+    Otherwise one sort of the columns (:func:`capic.linalg.distinct_rows`).
     """
-    first, inverse = distinct_rows(np.asarray(a, dtype=np.float64).T)
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape[0] and np.unique(a[0]).size == a.shape[1]:
+        return None
+    first, inverse = distinct_rows(a.T)
     return ColumnCodes(first, inverse) if first.size < inverse.size else None
 
 
@@ -132,11 +138,24 @@ class PairedDataset:
         return self.x.shape[1]
 
     def train_arrays(self):
+        """The training split's ``(x, y)``: every sample without a split.
+
+        Gathered on first use and shared by every later call.
+        """
+        return self._train_arrays
+
+    def test_arrays(self):
+        """The test split's ``(x, y)``, or None; gathered once, like :meth:`train_arrays`."""
+        return self._test_arrays
+
+    @cached_property
+    def _train_arrays(self) -> tuple:
         if self.split is None:
             return self.x, self.y
         return self.x[:, self.split.train_idx], self.y[:, self.split.train_idx]
 
-    def test_arrays(self):
+    @cached_property
+    def _test_arrays(self) -> tuple | None:
         if self.split is None or self.split.test_idx.size == 0:
             return None
         return self.x[:, self.split.test_idx], self.y[:, self.split.test_idx]

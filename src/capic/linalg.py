@@ -8,6 +8,7 @@ of calling numpy directly.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +29,7 @@ def as_matrix(a, name: str = "matrix", dtype=np.float64) -> np.ndarray:
     m = np.asarray(a, dtype=dtype)
     if m.ndim != 2:
         raise ContractViolationError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ContractViolationError(f"{name} contains non-finite entries")
     return m
 
@@ -108,11 +109,16 @@ def eig_sym(m):
     largest entry), otherwise a :class:`ContractViolationError` is
     raised.
     """
-    m = as_matrix(m)
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ContractViolationError(f"matrix must be 2-D, got shape {m.shape}")
+    # one scan for the scale, which is NaN or inf when an entry is
+    peak = float(np.abs(m).max(initial=0.0))
+    if not math.isfinite(peak):
+        raise ContractViolationError("matrix contains non-finite entries")
     if m.shape[0] != m.shape[1]:
         raise ContractViolationError(f"eig_sym needs a square matrix, got {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
-    if m.size and float(np.abs(m - m.T).max()) > 1e-10 * scale:
+    if float(np.abs(m - m.T).max(initial=0.0)) > 1e-10 * max(1.0, peak):
         raise ContractViolationError("eig_sym input is not symmetric within 1e-10")
     try:
         w, v = np.linalg.eigh((m + m.T) / 2.0)
@@ -143,9 +149,8 @@ def psd_power(m, p: float) -> PsdPower:
     w, v = eig_sym(m)
     clipped = np.maximum(w, 0.0)
     keep = clipped > RANK_TOL * clipped.max(initial=0.0)
-    powered = np.zeros_like(clipped)
-    powered[keep] = clipped[keep] ** p
-    return PsdPower((v * powered) @ v.T, w, int(keep.sum()))
+    powered = np.power(clipped, p, out=np.zeros_like(clipped), where=keep)
+    return PsdPower((v * powered) @ v.T, w, int(np.count_nonzero(keep)))
 
 
 def inv_sqrt_psd(m) -> np.ndarray:

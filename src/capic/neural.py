@@ -152,15 +152,15 @@ class StepBuffers:
     :func:`forward` writes the hidden activations and the output here.
     The first :func:`backward` pass adds what it writes (see
     :meth:`for_backward`), so a forward-only pass allocates just its
-    activations.  ``batch`` holds an input mini-batch gathered by the
-    training loop.  Each pass through the same buffers overwrites the
-    previous one's results.
+    activations.  With ``batch`` set, ``batch`` holds an input
+    mini-batch gathered by the training loop (None otherwise).  Each
+    pass through the same buffers overwrites the previous one's results.
     """
 
-    def __init__(self, p: MlpParams, n: int):
+    def __init__(self, p: MlpParams, n: int, batch: bool = False):
         cfg = p.config
         dtype = p.flat.dtype
-        self.batch = np.empty((cfg.in_width, n), dtype)
+        self.batch = np.empty((cfg.in_width, n), dtype) if batch else None
         self.hidden = [np.empty((w, n), dtype) for w in cfg.layer_widths[1:-1]]
         self.out = np.empty((cfg.out_width, n), dtype)
         self.grad = None
@@ -202,25 +202,26 @@ class _Encoding(NamedTuple):
 
     ``inverse`` maps the loss's columns (samples or pairs) to the input
     columns (loss column ``i`` is input column ``inverse[i]``), or is
-    None when the input columns are the loss's.  ``gathered`` holds the
-    float64 outputs the loss sees, each loss column times its ``scale``
-    when that is not None (the pair scale, see the module docstring).
+    None when the input columns are the loss's.  Each loss column is
+    multiplied by its ``scale`` when that is not None (the pair scale,
+    see the module docstring).  ``bins`` is ``inverse`` per output row,
+    offset by the row times the number of input columns: the flat bin
+    of each gradient entry.
     """
 
     columns: np.ndarray
     buffers: StepBuffers
     inverse: np.ndarray | None = None
-    gathered: np.ndarray | None = None
     scale: np.ndarray | None = None
+    bins: np.ndarray | None = None
 
     def gather(self, out):
         """The loss's outputs, from the outputs of the input columns."""
         if self.inverse is None:
             return out
-        gathered = np.take(out.astype(np.float64), self.inverse, axis=1, out=self.gathered)
-        if self.scale is not None:
-            gathered *= self.scale
-        return gathered
+        gathered = np.take(out, self.inverse, axis=1)
+        # float32 times float64 casts first: the float64 outputs, scaled
+        return gathered if self.scale is None else gathered * self.scale
 
     def group_sum(self, grad):
         """The gradient at the input columns: the loss columns' gradients summed per column."""
@@ -228,8 +229,10 @@ class _Encoding(NamedTuple):
             return grad
         if self.scale is not None:
             grad = grad * self.scale
-        width = self.columns.shape[1]
-        return np.stack([np.bincount(self.inverse, weights=row, minlength=width) for row in grad])
+        # each bin sums its entries in row-major order, as a bincount per row would
+        shape = (grad.shape[0], self.columns.shape[1])
+        sums = np.bincount(self.bins, weights=grad.ravel(), minlength=math.prod(shape))
+        return sums.reshape(shape)
 
 
 def distinct_columns(a, codes: ColumnCodes | None):
@@ -259,8 +262,9 @@ def _side_encoding(p: MlpParams, a, codes: ColumnCodes | None, inverse, scale) -
     """
     if codes is None:
         return _Encoding(a, StepBuffers(p, a.shape[1]))
-    gathered = np.empty((p.config.out_width, inverse.size))
-    return _Encoding(a[:, codes.first], StepBuffers(p, codes.first.size), inverse, gathered, scale)
+    d, width = p.config.out_width, codes.first.size
+    bins = (np.arange(d)[:, None] * width + inverse).ravel()
+    return _Encoding(a[:, codes.first], StepBuffers(p, width), inverse, scale, bins)
 
 
 def _full_batch_encodings(f: MlpParams, g: MlpParams, x, y, codes):
@@ -419,21 +423,36 @@ class _Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = None
-        self.v = None
+        self.m = self.v = self.work = None
 
     def step(self, params, grads):
+        """One Adam update of each of ``params``, in place.
+
+        ``m = b1 m + (1-b1) g``, ``v = b2 v + (1-b2) g^2`` and ``p -= lr
+        m_hat / (sqrt(v_hat) + eps)``: the formula's operations in its
+        order, into two work arrays per parameter vector, so the result
+        is the formula's bit for bit.
+        """
         if self.m is None:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
+            self.work = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g ** 2
-            m_hat = self.m[i] / (1 - b1 ** self.t)
-            v_hat = self.v[i] / (1 - b2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self.work):
+            m *= b1
+            m += np.multiply(1 - b1, g, out=a)
+            v *= b2
+            np.square(g, out=a)
+            v += np.multiply(1 - b2, a, out=a)
+            np.divide(m, c1, out=a)
+            a *= self.lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
 
 
 def _make_optimizer(cfg: TrainConfig):
@@ -454,12 +473,17 @@ class EpochRecord:
 def evaluate_loss(f_params, g_params, data, eps=DEFAULT_EPS):
     """Full-batch loss report of fixed nets on a dataset's training split (no updates).
 
-    The loss takes the n samples; each net runs once per distinct column
-    of its side (:func:`encode` with the dataset's column codes).
+    The loss is taken as a full-batch step takes it, in the nets' dtype:
+    over the scaled distinct (x, y) pairs when the split's pairs repeat,
+    otherwise over the n samples, gathered from each side's distinct
+    columns (see the module docstring).  The pair form is the n-sample
+    loss up to rounding.
     """
-    (x, y), (x_codes, y_codes) = data.train_arrays(), data.train_codes
-    return pic_loss(BatchOutputs(encode(f_params, x, x_codes), encode(g_params, y, y_codes)),
-                    eps=eps)
+    x, y = data.train_arrays()
+    f_enc, g_enc = _full_batch_encodings(f_params, g_params, x, y, data.train_codes)
+    f_out = forward(f_params, f_enc.columns, f_enc.buffers)[0]
+    g_out = forward(g_params, g_enc.columns, g_enc.buffers)[0]
+    return pic_loss(BatchOutputs(f_enc.gather(f_out), g_enc.gather(g_out)), eps=eps)
 
 
 def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
@@ -505,7 +529,7 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
     with np.errstate(over="ignore"):
         x = np.ascontiguousarray(x, dtype=np.float32)
         y = np.ascontiguousarray(y, dtype=np.float32)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ContractViolationError("training data exceeds the float32 range")
     if t_cfg.batch_size == "full":
         f_full, g_full = _full_batch_encodings(f, g, x, y, data.train_codes)
@@ -528,8 +552,8 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
             else:
                 width = idx.size
                 if width not in f_pool:
-                    f_pool[width] = StepBuffers(f, width)
-                    g_pool[width] = StepBuffers(g, width)
+                    f_pool[width] = StepBuffers(f, width, batch=True)
+                    g_pool[width] = StepBuffers(g, width, batch=True)
                 f_bufs, g_bufs = f_pool[width], g_pool[width]
                 f_enc = _Encoding(np.take(x, idx, axis=1, out=f_bufs.batch), f_bufs)
                 g_enc = _Encoding(np.take(y, idx, axis=1, out=g_bufs.batch), g_bufs)
@@ -537,7 +561,7 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
             with np.errstate(over="ignore"):
                 f_out, f_cache = forward(f, f_enc.columns, f_enc.buffers)
                 g_out, g_cache = forward(g, g_enc.columns, g_enc.buffers)
-                if not (np.all(np.isfinite(f_out)) and np.all(np.isfinite(g_out))):
+                if not (np.isfinite(f_out).all() and np.isfinite(g_out).all()):
                     raise TrainingDivergedError(
                         f"non-finite encoder outputs at epoch {epoch}", epoch=epoch
                     )

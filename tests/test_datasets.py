@@ -3,16 +3,19 @@ import csv
 import numpy as np
 import pytest
 
+import capic.datasets as datasets
 from capic.datasets import (
     PairedDataset,
     WINE_SCHEMA,
     apply_standardization,
+    column_codes,
     load_csv,
     make_split,
     one_hot_encode,
     synthetic_wine_csv,
 )
 from capic.errors import ContractViolationError, CsvParseError, EmptyDatasetError
+from capic.linalg import distinct_rows
 
 TOY_CSV = """color,grade,size
 red,good,1.5
@@ -205,3 +208,36 @@ class TestSyntheticWine:
         synthetic_wine_csv(tmp_path / "a.csv", n_samples=50, seed=9)
         synthetic_wine_csv(tmp_path / "b.csv", n_samples=50, seed=9)
         assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+
+
+class TestColumnCodesAndSplitArrays:
+    def test_a_distinct_first_row_needs_no_column_sort(self, monkeypatch):
+        sorts = []
+        real = datasets.distinct_rows
+        monkeypatch.setattr(datasets, "distinct_rows", lambda a: sorts.append(a.shape) or real(a))
+        rng = np.random.default_rng(3)
+        assert column_codes(rng.normal(size=(4, 200))) is None
+        assert sorts == []
+        # a repeat in the first row alone proves nothing: the columns are sorted
+        a = rng.normal(size=(2, 6))
+        a[0, 1] = a[0, 0]
+        assert column_codes(a) is None
+        a[:, 5] = a[:, 0]
+        codes = column_codes(a)
+        assert sorts == [(6, 2), (6, 2)]
+        assert codes.first.size == 5 and codes.inverse[5] == codes.inverse[0]
+
+    def test_codes_of_a_discrete_side_are_the_sorted_ones(self):
+        bits = np.random.default_rng(4).integers(0, 2, size=(3, 300)).astype(float)
+        codes = column_codes(bits)
+        first, inverse = distinct_rows(bits.T)
+        assert np.array_equal(codes.first, first) and np.array_equal(codes.inverse, inverse)
+
+    def test_split_arrays_are_gathered_once(self):
+        rng = np.random.default_rng(5)
+        ds = PairedDataset(x=rng.normal(size=(2, 40)), y=rng.normal(size=(1, 40)),
+                           split=make_split(40, 0.25, 1))
+        train, test = ds.train_arrays(), ds.test_arrays()
+        assert ds.train_arrays() is train and ds.test_arrays() is test
+        assert np.array_equal(train[0], ds.x[:, ds.split.train_idx])
+        assert np.array_equal(test[1], ds.y[:, ds.split.test_idx])

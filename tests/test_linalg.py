@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from capic.errors import ContractViolationError, NotPsdError
-from capic.linalg import _fix_signs, as_matrix, eig_sym, inv_sqrt_psd, psd_power, svd
+from capic.linalg import RANK_TOL, _fix_signs, as_matrix, eig_sym, inv_sqrt_psd, psd_power, svd
 
 
 class TestSvd:
@@ -179,6 +179,74 @@ class TestPsdPower:
         out, _, rank = psd_power(np.zeros((2, 2)), -0.5)
         assert rank == 0
         assert np.array_equal(out, np.zeros((2, 2)))
+
+
+def eig_sym_reference(m):
+    """``eig_sym`` as it was written before its one-scan checks and where-negated signs."""
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise ContractViolationError(f"eig_sym needs a square matrix, got {m.shape}")
+    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
+    if m.size and float(np.abs(m - m.T).max()) > 1e-10 * scale:
+        raise ContractViolationError("eig_sym input is not symmetric within 1e-10")
+    w, v = np.linalg.eigh((m + m.T) / 2.0)
+    w = w[::-1].copy()
+    v = v[:, ::-1].copy()
+    if v.size:
+        peaks = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+        v *= np.where(peaks < 0, -1.0, 1.0)
+    return w, v
+
+
+def psd_power_reference(m, p):
+    """``psd_power`` as it was written before ``np.power(..., where=keep)``."""
+    w, v = eig_sym_reference(m)
+    clipped = np.maximum(w, 0.0)
+    keep = clipped > RANK_TOL * clipped.max(initial=0.0)
+    powered = np.zeros_like(clipped)
+    powered[keep] = clipped[keep] ** p
+    return (v * powered) @ v.T, w, int(keep.sum())
+
+
+def random_psd(rng, d, rank):
+    """A d x d PSD matrix of the given rank (up to rounding), symmetric by construction."""
+    a = rng.normal(size=(d, rank)) * rng.uniform(0.1, 10.0, size=rank)
+    m = a @ a.T
+    return (m + m.T) / 2.0
+
+
+class TestLeanKernelsMatchTheirReferences:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_eig_sym_and_psd_power_bit_for_bit(self, d):
+        rng = np.random.default_rng(100 + d)
+        for trial in range(60):
+            m = random_psd(rng, d, rank=trial % (d + 1))  # rank 0 (all zero) to d
+            w, v = eig_sym(m)
+            ref_w, ref_v = eig_sym_reference(m)
+            assert w.tobytes() == ref_w.tobytes() and v.tobytes() == ref_v.tobytes()
+            for p in (-1.0, -0.5, 0.5):
+                out, w, rank = psd_power(m, p)
+                ref_out, ref_w, ref_rank = psd_power_reference(m, p)
+                assert out.tobytes() == ref_out.tobytes(), (trial, p)
+                assert w.tobytes() == ref_w.tobytes() and rank == ref_rank
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
+    def test_eig_sym_rejects_non_finite_entries(self, bad, shape):
+        m = np.eye(*shape)
+        m[1, 0] = bad
+        with pytest.raises(ContractViolationError, match="^matrix contains non-finite entries$"):
+            eig_sym(m)
+        with pytest.raises(ContractViolationError, match="^matrix contains non-finite entries$"):
+            psd_power(m, -1.0)
+
+    def test_eig_sym_keeps_its_shape_errors(self):
+        with pytest.raises(ContractViolationError, match="must be 2-D"):
+            eig_sym(np.ones(3))
+        with pytest.raises(ContractViolationError, match="square matrix"):
+            eig_sym(np.ones((2, 3)))
+        w, v = eig_sym(np.zeros((0, 0)))
+        assert w.shape == (0,) and v.shape == (0, 0)
 
 
 def test_as_matrix_rejects_vectors():

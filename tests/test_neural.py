@@ -481,3 +481,75 @@ class TestPrecisionContract:
         )
         _, test_pf = evaluate_model(model, data)
         np.testing.assert_allclose(test_pf.raw_diagonal, 0.8, atol=0.06)
+
+
+def adam_textbook(params, grads_per_step, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam written out as the formula, with fresh arrays for every term."""
+    p = params.copy()
+    m, v = np.zeros_like(p), np.zeros_like(p)
+    for t, g in enumerate(grads_per_step, start=1):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g ** 2
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return p
+
+
+class TestLeanStepMatchesItsReferences:
+    def test_gather_and_group_sum_match_their_references(self):
+        data = bsc_split(3, 400)
+        x, y = (np.ascontiguousarray(a, dtype=np.float32) for a in data.train_arrays())
+        f, g = (mlp_init(c).astype(np.float32) for c in FULL_BATCH[:2])
+        rng = np.random.default_rng(5)
+        for enc in neural._full_batch_encodings(f, g, x, y, data.train_codes):
+            assert enc.scale is not None  # the pair form, as on BSC-5
+            out = rng.normal(size=(3, enc.columns.shape[1])).astype(np.float32)
+            ref = np.take(out.astype(np.float64), enc.inverse, axis=1) * enc.scale
+            assert enc.gather(out).tobytes() == ref.tobytes()
+            grad = rng.normal(size=(3, enc.inverse.size))
+            width = enc.columns.shape[1]
+            ref = np.stack([np.bincount(enc.inverse, weights=row, minlength=width)
+                            for row in grad * enc.scale])
+            assert enc.group_sum(grad).tobytes() == ref.tobytes()
+
+    def test_group_sum_of_an_unscaled_gather(self):
+        # a coded y side beside an uncoded x side: the n samples, unscaled
+        data = bsc_split(3, 400)
+        x = np.random.default_rng(6).normal(size=(3, data.n)).astype(np.float32)
+        y = np.ascontiguousarray(data.y, dtype=np.float32)
+        f, g = (mlp_init(c).astype(np.float32) for c in FULL_BATCH[:2])
+        codes = (None, data.train_codes[1])
+        _, enc = neural._full_batch_encodings(f, g, x, y, codes)
+        assert enc.scale is None and enc.inverse.size == data.n
+        grad = np.random.default_rng(7).normal(size=(3, data.n))
+        ref = np.stack([np.bincount(enc.inverse, weights=row, minlength=8) for row in grad])
+        assert enc.group_sum(grad).tobytes() == ref.tobytes()
+
+    def test_adam_in_place_is_the_textbook_formula(self):
+        rng = np.random.default_rng(8)
+        params = rng.normal(size=50).astype(np.float32)
+        grads = [rng.normal(scale=10.0 ** -k, size=50).astype(np.float32) for k in range(3)]
+        opt = neural._Adam(1e-3, 0.9, 0.999, 1e-8)
+        p = params.copy()
+        for grad in grads:
+            opt.step((p,), (grad,))
+        assert p.tobytes() == adam_textbook(params, grads).tobytes()
+
+    def test_pair_form_initial_loss_is_the_sample_loss(self, monkeypatch):
+        data = bsc_split(3, 4000, delta=0.3)
+        f, g = (mlp_init(c) for c in FULL_BATCH[:2])
+        calls = pic_loss_calls(monkeypatch)
+        report = evaluate_loss(f, g, data)
+        assert calls == [64]  # the loss runs on the 8 x 8 distinct pairs
+        x, y = data.train_arrays()
+        ref = pic_loss(BatchOutputs(forward(f, x)[0], forward(g, y)[0]))
+        assert abs(report.loss - ref.loss) <= 1e-12
+        assert abs(report.kyfan_term - ref.kyfan_term) <= 1e-12
+        assert abs(report.g_energy - ref.g_energy) <= 1e-12
+
+    def test_only_the_training_pool_holds_a_batch(self):
+        p = mlp_init(MlpConfig((3, 4, 2)))
+        _, cache = forward(p, np.zeros((3, 5)))
+        assert cache.buffers.batch is None
+        assert neural.StepBuffers(p, 5, batch=True).batch.shape == (3, 5)
