@@ -8,7 +8,6 @@ of calling numpy directly.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -109,16 +108,11 @@ def eig_sym(m):
     largest entry), otherwise a :class:`ContractViolationError` is
     raised.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ContractViolationError(f"matrix must be 2-D, got shape {m.shape}")
-    # one scan for the scale, which is NaN or inf when an entry is
-    peak = float(np.abs(m).max(initial=0.0))
-    if not math.isfinite(peak):
-        raise ContractViolationError("matrix contains non-finite entries")
+    m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ContractViolationError(f"eig_sym needs a square matrix, got {m.shape}")
-    if float(np.abs(m - m.T).max(initial=0.0)) > 1e-10 * max(1.0, peak):
+    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
+    if m.size and float(np.abs(m - m.T).max()) > 1e-10 * scale:
         raise ContractViolationError("eig_sym input is not symmetric within 1e-10")
     try:
         w, v = np.linalg.eigh((m + m.T) / 2.0)

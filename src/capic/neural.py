@@ -152,15 +152,13 @@ class StepBuffers:
     :func:`forward` writes the hidden activations and the output here.
     The first :func:`backward` pass adds what it writes (see
     :meth:`for_backward`), so a forward-only pass allocates just its
-    activations.  With ``batch`` set, ``batch`` holds an input
-    mini-batch gathered by the training loop (None otherwise).  Each
-    pass through the same buffers overwrites the previous one's results.
+    activations.  Each pass through the same buffers overwrites the
+    previous one's results.
     """
 
-    def __init__(self, p: MlpParams, n: int, batch: bool = False):
+    def __init__(self, p: MlpParams, n: int):
         cfg = p.config
         dtype = p.flat.dtype
-        self.batch = np.empty((cfg.in_width, n), dtype) if batch else None
         self.hidden = [np.empty((w, n), dtype) for w in cfg.layer_widths[1:-1]]
         self.out = np.empty((cfg.out_width, n), dtype)
         self.grad = None
@@ -552,11 +550,10 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
             else:
                 width = idx.size
                 if width not in f_pool:
-                    f_pool[width] = StepBuffers(f, width, batch=True)
-                    g_pool[width] = StepBuffers(g, width, batch=True)
-                f_bufs, g_bufs = f_pool[width], g_pool[width]
-                f_enc = _Encoding(np.take(x, idx, axis=1, out=f_bufs.batch), f_bufs)
-                g_enc = _Encoding(np.take(y, idx, axis=1, out=g_bufs.batch), g_bufs)
+                    f_pool[width] = StepBuffers(f, width)
+                    g_pool[width] = StepBuffers(g, width)
+                f_enc = _Encoding(np.take(x, idx, axis=1), f_pool[width])
+                g_enc = _Encoding(np.take(y, idx, axis=1), g_pool[width])
             # float32 overflows sooner; the checks below turn it into divergence
             with np.errstate(over="ignore"):
                 f_out, f_cache = forward(f, f_enc.columns, f_enc.buffers)

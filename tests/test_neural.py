@@ -547,9 +547,3 @@ class TestLeanStepMatchesItsReferences:
         assert abs(report.loss - ref.loss) <= 1e-12
         assert abs(report.kyfan_term - ref.kyfan_term) <= 1e-12
         assert abs(report.g_energy - ref.g_energy) <= 1e-12
-
-    def test_only_the_training_pool_holds_a_batch(self):
-        p = mlp_init(MlpConfig((3, 4, 2)))
-        _, cache = forward(p, np.zeros((3, 5)))
-        assert cache.buffers.batch is None
-        assert neural.StepBuffers(p, 5, batch=True).batch.shape == (3, 5)
