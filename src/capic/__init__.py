@@ -16,7 +16,6 @@ from .classical import (
     ContingencyTable,
     ca_decompose,
     contingency_from_pmf,
-    contingency_from_samples,
     pics_exact,
     q_matrix,
 )

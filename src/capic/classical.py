@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ContractViolationError, EmptyDatasetError
+from .errors import CapacityError, ContractViolationError
 from .linalg import as_matrix, svd
 
 #: Largest supported joint alphabet for the exact oracle path.
@@ -108,28 +108,6 @@ def _drop_zero_marginals(table, x_labels, y_labels):
         x_labels = tuple(l for l, k in zip(x_labels, keep_x) if k)
         y_labels = tuple(l for l, k in zip(y_labels, keep_y) if k)
     return table, x_labels, y_labels, dropped_x, dropped_y
-
-
-def contingency_from_samples(xs, ys) -> ContingencyTable:
-    """Count paired categorical samples into a table of relative frequencies.
-
-    Labels are sorted lexicographically so the row/column order (and
-    everything downstream) is deterministic.  Every label is observed,
-    so no category is dropped.
-    """
-    xs = list(xs)
-    ys = list(ys)
-    if len(xs) != len(ys):
-        raise ContractViolationError(f"got {len(xs)} x samples but {len(ys)} y samples")
-    if not xs:
-        raise EmptyDatasetError("cannot build a contingency table from zero samples")
-    x_labels = tuple(sorted(set(xs)))
-    y_labels = tuple(sorted(set(ys)))
-    xi = {l: i for i, l in enumerate(x_labels)}
-    yi = {l: i for i, l in enumerate(y_labels)}
-    counts = np.zeros((len(x_labels), len(y_labels)))
-    np.add.at(counts, ([xi[x] for x in xs], [yi[y] for y in ys]), 1.0)
-    return ContingencyTable(counts / counts.sum(), x_labels, y_labels)
 
 
 def contingency_from_pmf(pmf, x_labels=None, y_labels=None) -> ContingencyTable:

@@ -20,11 +20,11 @@ distinct gets None.  With the codes:
   :func:`capic.model.fit_ca_nn_model` and
   :func:`capic.experiment.evaluate_model`) run each net once per
   distinct column and gather the outputs back to the samples;
-* the principal functions carry the codes on to the factor tables and
-  planes of :func:`capic.experiment.run_experiment`, which write such a
-  side once per code: its count in the split and its values at the
-  code's first column.  A one-hot side is written once per label
-  instead, codes or not.
+* the factor tables and planes of
+  :func:`capic.experiment.run_experiment` read the split's codes from
+  the dataset and write such a side once per code: its count in the
+  split and its values at the code's first column.  A one-hot side is
+  written once per label instead, codes or not.
 
 The codes compare float64 bytes.  Columns equal in float64 are equal in
 float32 too, so one set of codes serves the float32 training step and
@@ -200,11 +200,19 @@ def apply_standardization(stats, mat):
 
 
 def make_split(n, test_fraction, seed):
-    """Deterministic shuffled train/test split of ``range(n)``."""
+    """Deterministic shuffled train/test split of ``range(n)``.
+
+    A split that would leave no training row raises
+    :class:`EmptyDatasetError`.
+    """
     if not 0 <= test_fraction < 1:
         raise ContractViolationError("test_fraction must be in [0, 1)")
-    order = np.random.default_rng(seed).permutation(n)
     n_test = int(round(n * test_fraction))
+    if n_test == n:
+        raise EmptyDatasetError(
+            f"test_fraction {test_fraction} of {n} rows leaves no training rows"
+        )
+    order = np.random.default_rng(seed).permutation(n)
     return Split(train_idx=np.sort(order[n_test:]), test_idx=np.sort(order[:n_test]))
 
 

@@ -242,8 +242,7 @@ def evaluate_model(model: CaNnModel, data: PairedDataset):
     """The nets' outputs on the train and (if any, else None) test split, with diagonals.
 
     Each net runs once per distinct column of its side (repeated columns:
-    see :mod:`capic.datasets`), and the principal functions carry the
-    codes on to the artifact writers.
+    see :mod:`capic.datasets`).
     """
 
     def principal(arrays, codes):
@@ -251,8 +250,7 @@ def evaluate_model(model: CaNnModel, data: PairedDataset):
             return None
         x_codes, y_codes = codes
         return principal_functions(
-            encode(model.f_params, arrays[0], x_codes), encode(model.g_params, arrays[1], y_codes),
-            x_codes, y_codes,
+            encode(model.f_params, arrays[0], x_codes), encode(model.g_params, arrays[1], y_codes)
         )
 
     return (principal(data.train_arrays(), data.train_codes),
@@ -278,11 +276,16 @@ def _side_values(params, rows, kind, labels, codes, arrays):
     return labels, np.bincount(codes.inverse), rows[:, codes.first]
 
 
-def _split_values(model: CaNnModel, data: PairedDataset, pf, arrays):
-    """The x and y :func:`_side_values` of the split whose principal functions are ``pf``."""
+def _split_values(model: CaNnModel, data: PairedDataset, pf, test=False):
+    """The x and y :func:`_side_values` of the training split, or with ``test`` of the test split.
+
+    ``pf`` are that split's principal functions.
+    """
+    arrays, codes = (data.test_arrays(), data.test_codes) if test else (
+        data.train_arrays(), data.train_codes)
     return (
-        _side_values(model.f_params, pf.f, data.x_kind, data.x_labels, pf.x_codes, arrays[0]),
-        _side_values(model.g_params, pf.g, data.y_kind, data.y_labels, pf.y_codes, arrays[1]),
+        _side_values(model.f_params, pf.f, data.x_kind, data.x_labels, codes[0], arrays[0]),
+        _side_values(model.g_params, pf.g, data.y_kind, data.y_labels, codes[1], arrays[1]),
     )
 
 
@@ -387,8 +390,20 @@ def _run_svd(cfg, out, cfg_hash):
     )
 
 
-def _diag_doc(pf):
-    return {"raw": pf.raw_diagonal.tolist(), "clamped": pf.pic_diagonal.tolist()}
+def _pic_report(cfg_hash, train_pf, test_pf, **entries):
+    """A ``pic_report*.json`` document: the config hash, each split's diagonals, ``entries``.
+
+    A split's diagonals are its raw and clamped ``PrincipalFunctions``
+    diagonals, or None for a missing test split.
+    """
+
+    def diagonals(pf):
+        if pf is None:
+            return None
+        return {"raw": pf.raw_diagonal.tolist(), "clamped": pf.pic_diagonal.tolist()}
+
+    return {"config_hash": cfg_hash, "train": diagonals(train_pf), "test": diagonals(test_pf),
+            **entries}
 
 
 def _run_train(cfg, out, cfg_hash):
@@ -406,14 +421,8 @@ def _run_train(cfg, out, cfg_hash):
     save_model(model, out / "model.json")
 
     train_pf, test_pf = evaluate_model(model, data)
-    report = {
-        "config_hash": cfg_hash,
-        "train": _diag_doc(train_pf),
-        "test": _diag_doc(test_pf) if test_pf is not None else None,
-        "loss_initial": initial.loss,
-        "loss_final": model.loss_final,
-        "kyfan_final": model.kyfan_final,
-    }
+    report = _pic_report(cfg_hash, train_pf, test_pf, loss_initial=initial.loss,
+                         loss_final=model.loss_final, kyfan_final=model.kyfan_final)
     write_json_atomic(out / "pic_report.json", report)
 
     rows = [(e, rec.loss, rec.kyfan_term, rec.g_energy) for e, rec in enumerate(history)]
@@ -421,11 +430,10 @@ def _run_train(cfg, out, cfg_hash):
         out / "loss_history.csv", csv_text(["epoch", "loss", "kyfan_term", "g_energy"], rows)
     )
 
-    train_values = _split_values(model, data, train_pf, data.train_arrays())
+    train_values = _split_values(model, data, train_pf)
     _write_factor_tables(out, "train", train_pf, train_values)
     if test_pf is not None:
-        _write_factor_tables(out, "test", test_pf,
-                             _split_values(model, data, test_pf, data.test_arrays()))
+        _write_factor_tables(out, "test", test_pf, _split_values(model, data, test_pf, test=True))
     _write_planes(out, train_pf, cfg.get("planes", []), train_values)
 
 
@@ -440,12 +448,7 @@ def _evaluate_saved(model_path, config, seed, out_dir):
 def run_eval(model_path, config, seed=None, out_dir=None) -> Path:
     """Re-evaluate a saved model on a config's dataset; writes a report."""
     cfg, out, _, _, train_pf, test_pf = _evaluate_saved(model_path, config, seed, out_dir)
-    report = {
-        "model": str(model_path),
-        "config_hash": config_hash(cfg),
-        "train": _diag_doc(train_pf),
-        "test": _diag_doc(test_pf) if test_pf is not None else None,
-    }
+    report = _pic_report(config_hash(cfg), train_pf, test_pf, model=str(model_path))
     write_json_atomic(out / "pic_report_eval.json", report)
     return out
 
@@ -453,6 +456,5 @@ def run_eval(model_path, config, seed=None, out_dir=None) -> Path:
 def run_plane(model_path, config, i, j, seed=None, out_dir=None) -> Path:
     """Write the ``(i, j)`` factor plane of a saved model on a config's training split."""
     _, out, model, data, train_pf, _ = _evaluate_saved(model_path, config, seed, out_dir)
-    _write_planes(out, train_pf, [(i, j)], _split_values(model, data, train_pf,
-                                                         data.train_arrays()))
+    _write_planes(out, train_pf, [(i, j)], _split_values(model, data, train_pf))
     return out

@@ -57,8 +57,8 @@ def _trained_pass(p: MlpParams, a, codes):
     The net runs over :func:`~capic.neural.distinct_columns`; the outputs
     are gathered back to the columns, the activations are not.
     """
-    out, cache = forward(p, distinct_columns(a, codes))
-    return gather_columns(out, codes), cache.buffers.hidden[-1]
+    out, buffers = forward(p, distinct_columns(a, codes))
+    return gather_columns(out, codes), buffers.hidden[-1]
 
 
 def fit_ca_nn_model(data, f_cfg, g_cfg, t_cfg, metadata=None):

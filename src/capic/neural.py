@@ -149,11 +149,12 @@ def mlp_init(cfg: MlpConfig) -> MlpParams:
 class StepBuffers:
     """Work arrays of one net at one batch width, in the params' dtype.
 
-    :func:`forward` writes the hidden activations and the output here.
-    The first :func:`backward` pass adds what it writes (see
-    :meth:`for_backward`), so a forward-only pass allocates just its
-    activations.  Each pass through the same buffers overwrites the
-    previous one's results.
+    :func:`forward` writes the hidden activations and the output here,
+    and keeps the batch it ran on (in the params' dtype) as ``x``, the
+    input of :func:`backward`'s first layer.  The first :func:`backward`
+    pass adds what it writes (see :meth:`for_backward`), so a
+    forward-only pass allocates just its activations.  Each pass through
+    the same buffers overwrites the previous one's results.
     """
 
     def __init__(self, p: MlpParams, n: int):
@@ -161,6 +162,7 @@ class StepBuffers:
         dtype = p.flat.dtype
         self.hidden = [np.empty((w, n), dtype) for w in cfg.layer_widths[1:-1]]
         self.out = np.empty((cfg.out_width, n), dtype)
+        self.x = None
         self.grad = None
 
     def for_backward(self, p: MlpParams) -> StepBuffers:
@@ -182,17 +184,6 @@ class StepBuffers:
             self.grad = np.empty_like(p.flat)
             self.grad_w, self.grad_b = _param_views(self.grad, cfg)
         return self
-
-
-class ForwardCache(NamedTuple):
-    """What :func:`backward` reads: the input batch and the filled buffers.
-
-    Activation derivatives come from the activated outputs in
-    ``buffers.hidden``.
-    """
-
-    x: np.ndarray
-    buffers: StepBuffers
 
 
 class _Encoding(NamedTuple):
@@ -313,9 +304,9 @@ def _backprop_activation(delta, post, kind, work):
 def forward(p: MlpParams, x_batch, buffers: StepBuffers | None = None):
     """Evaluate the net on a batch (columns are samples).
 
-    Returns the d x n output and the cache consumed by
-    :func:`backward`.  The output layer is linear, so an affine map of
-    the output folds into its weights and bias (see
+    Returns the d x n output and the filled :class:`StepBuffers`, which
+    :func:`backward` takes.  The output layer is linear, so an affine
+    map of the output folds into its weights and bias (see
     :func:`capic.model.fit_ca_nn_model`).  The batch is taken in the
     params' dtype, and activations and output are written into
     ``buffers`` (fresh ones when None), so the output is overwritten by
@@ -332,19 +323,19 @@ def forward(p: MlpParams, x_batch, buffers: StepBuffers | None = None):
         raise ContractViolationError(
             f"buffers hold {bufs.out.shape[1]} samples, the batch has {x.shape[1]}"
         )
-    a = x
+    bufs.x = a = x
     for w, b, h in zip(p.weights[:-1], p.biases[:-1], bufs.hidden):
         np.matmul(w, a, out=h)
         h += b[:, None]
         _activate(h, cfg.activation)
         a = h
-    return output_layer(p, a, bufs.out), ForwardCache(x, bufs)
+    return output_layer(p, a, bufs.out), bufs
 
 
 def output_layer(p: MlpParams, hidden, out=None) -> np.ndarray:
     """The linear output layer of ``p`` on the last hidden activations ``hidden``.
 
-    Given the ``buffers.hidden[-1]`` of a cached forward pass of a net
+    Given the ``hidden[-1]`` of the buffers of a forward pass of a net
     that shares every other layer with ``p`` (a net and its fold, see
     :func:`capic.model.fit_ca_nn_model`), this is the output
     :func:`forward` gives for ``p`` on that batch, without rerunning the
@@ -355,14 +346,15 @@ def output_layer(p: MlpParams, hidden, out=None) -> np.ndarray:
     return out
 
 
-def backward(p: MlpParams, cache: ForwardCache, grad_out):
-    """Exact reverse-mode parameter gradients for a cached forward pass.
+def backward(p: MlpParams, buffers: StepBuffers, grad_out):
+    """Exact reverse-mode parameter gradients for the forward pass that filled ``buffers``.
 
-    ``grad_out`` is cast to the params' dtype.  Returns ``(grad_w,
-    grad_b)``, views into ``cache.buffers.grad``.
+    Activation derivatives come from the activated outputs in
+    ``buffers.hidden``.  ``grad_out`` is cast to the params' dtype.
+    Returns ``(grad_w, grad_b)``, views into ``buffers.grad``.
     """
     cfg = p.config
-    bufs = cache.buffers.for_backward(p)
+    bufs = buffers.for_backward(p)
     delta = bufs.deltas[-1]
     grad_out = np.asarray(grad_out)
     if grad_out.shape != delta.shape:
@@ -372,7 +364,7 @@ def backward(p: MlpParams, cache: ForwardCache, grad_out):
     np.copyto(delta, grad_out)
     as_matrix(delta, "grad_out", dtype=delta.dtype)
     for k in range(len(p.weights) - 1, -1, -1):
-        below = bufs.hidden[k - 1] if k > 0 else cache.x
+        below = bufs.hidden[k - 1] if k > 0 else bufs.x
         np.matmul(delta, below.T, out=bufs.grad_w[k])
         # a product, like the weight gradient: faster than a float32 row sum
         np.matmul(delta, bufs.ones, out=bufs.grad_b[k])
@@ -556,12 +548,8 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
                 g_enc = _Encoding(np.take(y, idx, axis=1), g_pool[width])
             # float32 overflows sooner; the checks below turn it into divergence
             with np.errstate(over="ignore"):
-                f_out, f_cache = forward(f, f_enc.columns, f_enc.buffers)
-                g_out, g_cache = forward(g, g_enc.columns, g_enc.buffers)
-                if not (np.isfinite(f_out).all() and np.isfinite(g_out).all()):
-                    raise TrainingDivergedError(
-                        f"non-finite encoder outputs at epoch {epoch}", epoch=epoch
-                    )
+                f_out = forward(f, f_enc.columns, f_enc.buffers)[0]
+                g_out = forward(g, g_enc.columns, g_enc.buffers)[0]
                 try:
                     outputs = BatchOutputs(f_enc.gather(f_out), g_enc.gather(g_out))
                     report = pic_loss(outputs, eps=t_cfg.loss_eps)
@@ -569,11 +557,11 @@ def train_ca_nn(data, f_cfg: MlpConfig, g_cfg: MlpConfig, t_cfg: TrainConfig):
                         raise TrainingDivergedError(
                             f"non-finite loss at epoch {epoch}", epoch=epoch
                         )
-                    backward(f, f_cache, f_enc.group_sum(report.grad_f))
-                    backward(g, g_cache, g_enc.group_sum(report.grad_g))
+                    backward(f, f_enc.buffers, f_enc.group_sum(report.grad_f))
+                    backward(g, g_enc.buffers, g_enc.group_sum(report.grad_g))
                 except ContractViolationError as exc:
-                    # finite outputs whose covariances or gradients overflow
-                    # are divergence too
+                    # BatchOutputs rejects non-finite outputs; finite ones whose
+                    # covariances or gradients overflow are divergence too
                     raise TrainingDivergedError(
                         f"loss or gradient computation failed at epoch {epoch}: {exc}",
                         epoch=epoch,

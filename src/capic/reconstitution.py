@@ -111,18 +111,3 @@ def from_cann(model, labels, label_features, prior_y):
         prior_y=prior_y,
     )
 
-
-def prior_from_counts(labels_seq, labels) -> np.ndarray:
-    """Empirical class prior of ``labels_seq`` over the label order given."""
-    labels = tuple(labels)
-    index = {l: i for i, l in enumerate(labels)}
-    counts = np.zeros(len(labels))
-    total = 0
-    for l in labels_seq:
-        if l not in index:
-            raise ContractViolationError(f"unknown label {l!r}")
-        counts[index[l]] += 1.0
-        total += 1
-    if total == 0:
-        raise ContractViolationError("cannot estimate a prior from zero labels")
-    return counts / total

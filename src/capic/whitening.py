@@ -44,20 +44,12 @@ class WhiteningTransform:
 
 @dataclass
 class PrincipalFunctions:
-    """Principal-function values of n samples and their component correlations.
-
-    ``x_codes``/``y_codes`` are the :class:`capic.datasets.ColumnCodes` of
-    the samples' x and y columns when f (or g) was gathered through them,
-    so its columns repeat exactly as the codes say; else None.  The
-    factor tables and planes then take one point per code.
-    """
+    """Principal-function values of n samples and their component correlations."""
 
     f: np.ndarray               # d x n
     g: np.ndarray               # d x n
     pic_diagonal: np.ndarray    # clamped for reporting
     raw_diagonal: np.ndarray    # as computed
-    x_codes: object = None
-    y_codes: object = None
 
 
 def _center_and_whiten(m, which):
@@ -106,13 +98,13 @@ def apply_whitening(w: WhiteningTransform, f_tilde, g_tilde) -> PrincipalFunctio
     return principal_functions(f, w.b @ (g_tilde - w.mean_g[:, None]))
 
 
-def principal_functions(f, g, x_codes=None, y_codes=None) -> PrincipalFunctions:
+def principal_functions(f, g) -> PrincipalFunctions:
     """Principal-function values F, G (d x n) and their component correlations.
 
     ``pic_diagonal`` is ``diag((1/n) F G^T)`` clipped into
     ``[-1, 1.01]``; finite-sample estimates can exceed 1, so a clip
     beyond that range only triggers a warning while the raw values are
-    kept in ``raw_diagonal``.  The codes are kept as given.
+    kept in ``raw_diagonal``.
     """
     f = as_matrix(f, "f")
     g = as_matrix(g, "g")
@@ -127,4 +119,4 @@ def principal_functions(f, g, x_codes=None, y_codes=None) -> PrincipalFunctions:
             RuntimeWarning,
             stacklevel=2,
         )
-    return PrincipalFunctions(f, g, clamped, raw, x_codes, y_codes)
+    return PrincipalFunctions(f, g, clamped, raw)

@@ -183,6 +183,16 @@ class TestSplit:
         assert a.test_idx.size == 20
         assert np.intersect1d(a.train_idx, a.test_idx).size == 0
 
+    def test_split_leaving_no_training_rows_rejected(self, tmp_path):
+        # round(2 * 0.75) = 2 rows held out of 2; standardizing on no
+        # training rows would give NaN statistics
+        with pytest.raises(EmptyDatasetError, match="test_fraction 0.75 of 2 rows"):
+            make_split(2, 0.75, seed=0)
+        path = write(tmp_path, "two.csv", "a,b\n1,2\n3,4\n")
+        with pytest.raises(EmptyDatasetError, match="test_fraction 0.75 of 2 rows"):
+            load_csv(path, {"a": "x-continuous", "b": "y-continuous"}, standardize=True,
+                     test_fraction=0.75)
+
 
 class TestStandardizationHelper:
     def test_apply_matches_stats(self):

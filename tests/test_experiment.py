@@ -7,19 +7,22 @@ import pytest
 
 from capic import experiment, fileio
 from capic import factor_plane as fp
-from capic.classical import ca_decompose, contingency_from_pmf, contingency_from_samples
+from capic.classical import ca_decompose, contingency_from_pmf
 from capic.cli import main
 from capic.datasets import WINE_SCHEMA, synthetic_wine_csv
 from capic.errors import ContractViolationError
-from capic.experiment import build_dataset, evaluate_model, read_pmf_csv, run_experiment
+from capic.experiment import (
+    build_dataset, evaluate_model, read_pmf_csv, run_eval, run_experiment,
+)
 from capic.factor_plane import FactorPlane, export_factor_plane, plane_from_csv, plane_to_csv
 from capic.fileio import dump_json
 from capic.model import fit_ca_nn_model, save_model
 from capic.linalg import distinct_rows as linalg_distinct_rows
 from capic.neural import MlpConfig, TrainConfig, train_ca_nn
 from capic.neural import forward as neural_forward
-from capic.reconstitution import classify, from_cann, prior_from_counts
+from capic.reconstitution import classify, from_cann
 
+from test_classical import contingency_from_samples
 from test_factor_plane import reference_plane_csv, reference_points, reference_render_svg
 from test_fileio import reference_table_text
 
@@ -204,11 +207,12 @@ class TestRunExperiment:
         out = run_experiment(cfg)
         (_, data), pfs = seen["evaluate_model"]
         texts, values = {}, {}
-        for split, pf, arrays in zip(("train", "test"), pfs,
-                                     (data.train_arrays(), data.test_arrays())):
+        for split, pf, arrays, split_codes in zip(("train", "test"), pfs,
+                                                  (data.train_arrays(), data.test_arrays()),
+                                                  (data.train_codes, data.test_codes)):
             for side, letter, rows, codes, columns in (
-                    ("x", "f", pf.f, pf.x_codes, arrays[0]),
-                    ("y", "g", pf.g, pf.y_codes, arrays[1])):
+                    ("x", "f", pf.f, split_codes[0], arrays[0]),
+                    ("y", "g", pf.g, split_codes[1], arrays[1])):
                 assert codes.first.size == 8
                 labels = [" ".join(str(float(v)) for v in columns[:, k]) for k in codes.first]
                 counts = np.bincount(codes.inverse).tolist()
@@ -265,11 +269,11 @@ class TestRunExperiment:
         cfg["dataset"] = {"source": "gaussian", "sigma1": 1.0, "sigma2": 1.0,
                           "n_samples": 150, "n_test": 60, "seed": 6}
         out = run_experiment(cfg)
-        _, pfs = seen["evaluate_model"]
+        (_, data), pfs = seen["evaluate_model"]
+        assert data.train_codes == data.test_codes == (None, None)
         texts = {}
         for split, pf in zip(("train", "test"), pfs):
             n = pf.f.shape[1]
-            assert pf.x_codes is None and pf.y_codes is None
             texts[f"factors_x_{split}.csv"] = reference_table_text(
                 ["index", "f0", "f1"], range(n), pf.f.T)
             texts[f"factors_y_{split}.csv"] = reference_table_text(
@@ -338,7 +342,7 @@ class TestRunExperiment:
         (_, data), (train_pf, _) = seen["evaluate_model"]
         x, y = data.train_arrays()
         diag = train_pf.pic_diagonal
-        xf, yf = train_pf.x_codes.first, train_pf.y_codes.first
+        xf, yf = (codes.first for codes in data.train_codes)
         plane = FactorPlane(
             0, 1, reference_points(train_pf.f[:, xf].T, diag[0], diag[1], 0, 1,
                                    [" ".join(map(str, c)) for c in x[:, xf].T.tolist()]),
@@ -573,7 +577,8 @@ class TestCli:
         data, model, plane = wine_plane
         labels = data.y_labels
         _, y_train = data.train_arrays()
-        prior = prior_from_counts([labels[k] for k in np.argmax(y_train, axis=0)], labels)
+        counts = y_train.sum(axis=1)
+        prior = counts / counts.sum()
         recon = from_cann(model, labels, list(np.eye(len(labels))), prior)
         # the plane scales each axis by the training-split diagonal
         diag = evaluate_model(model, data)[0].pic_diagonal
@@ -582,6 +587,23 @@ class TestCli:
         ]
         predicted = {classify(recon, data.x[:, k])[0] for k in range(data.x.shape[1])}
         assert predicted <= set(labels)
+
+    def test_reports_without_a_test_split_share_their_blocks(self, tmp_path):
+        # pic_report.json and pic_report_eval.json hold the same config hash
+        # and diagonals, and a null test block when there is no test split.
+        cfg = tiny_bsc_config(tmp_path / "run", epochs=2)
+        cfg["dataset"]["n_test"] = 0
+        run = run_experiment(cfg)
+        ev = run_eval(run / "model.json", cfg, out_dir=tmp_path / "eval")
+        run_report = json.loads((run / "pic_report.json").read_text())
+        eval_report = json.loads((ev / "pic_report_eval.json").read_text())
+        assert set(run_report) == {"config_hash", "train", "test", "loss_initial",
+                                   "loss_final", "kyfan_final"}
+        assert set(eval_report) == {"config_hash", "train", "test", "model"}
+        for key in ("config_hash", "train", "test"):
+            assert eval_report[key] == run_report[key]
+        assert run_report["test"] is None
+        assert set(run_report["train"]) == {"raw", "clamped"}
 
     def test_svd_subcommand_on_pmf(self, tmp_path):
         pmf_path = tmp_path / "table.csv"

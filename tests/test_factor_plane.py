@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from capic import factor_plane as fp
-from capic.classical import ca_decompose, contingency_from_pmf, contingency_from_samples
+from capic.classical import ca_decompose, contingency_from_pmf
 from capic.errors import ContractViolationError, CsvParseError, UnsupportedOperationError
 from capic.factor_plane import (
     FactorPlane,
@@ -17,6 +17,8 @@ from capic.linalg import distinct_rows
 from capic.model import CaNnModel
 from capic.neural import MlpConfig, MlpParams
 from capic.whitening import PrincipalFunctions
+
+from test_classical import contingency_from_samples
 
 
 def reference_points(matrix_rows, scale_i, scale_j, i, j, labels):

@@ -6,6 +6,7 @@ import pytest
 from capic.cli import main
 from capic.datasets import PairedDataset
 from capic.errors import ContractViolationError
+from capic.experiment import build_dataset, evaluate_model
 from capic.fileio import dump_json
 from capic.model import fit_ca_nn_model, load_model, model_from_doc, model_to_doc, save_model
 from capic.neural import MlpConfig, TrainConfig, evaluate_loss, forward, train_ca_nn
@@ -44,6 +45,25 @@ class TestFitModel:
         f_params, g_params, _ = train_ca_nn(data, *CONFIGS)
         final = evaluate_loss(f_params, g_params, data, eps=CONFIGS[2].loss_eps)
         assert (model.loss_final, model.kyfan_final) == (final.loss, final.kyfan_term)
+
+    @pytest.mark.parametrize("dcfg, coded", [
+        ({"source": "bsc", "n_bits": 3, "delta": 0.1, "n_samples": 400, "seed": 3}, True),
+        ({"source": "gaussian", "sigma1": 1.0, "sigma2": 1.0, "n_samples": 300, "seed": 3},
+         False),
+    ])
+    def test_kept_diagonal_is_the_evaluated_one_exactly(self, dcfg, coded):
+        # The fit takes the diagonal from its own pass's last hidden
+        # activations, through the folded output layers; only exact
+        # equality shows that reuse gives evaluate_model's numbers.
+        data = build_dataset(dcfg)
+        assert (data.train_codes[0] is not None) == coded
+        f_cfg = MlpConfig((data.x.shape[0], 8, 2), activation="tanh", init_seed=4)
+        g_cfg = MlpConfig((data.y.shape[0], 8, 2), activation="tanh", init_seed=5)
+        t_cfg = TrainConfig(epochs=20, optimizer="adam", lr=0.01, seed=6)
+        model, _ = fit_ca_nn_model(data, f_cfg, g_cfg, t_cfg)
+        train_pf, _ = evaluate_model(model, data)
+        assert np.array_equal(model.raw_diagonal, train_pf.raw_diagonal)
+        assert np.array_equal(model.pic_diagonal, train_pf.pic_diagonal)
 
     def test_metadata_captures_kinds(self, tiny_model):
         _, model, _ = tiny_model

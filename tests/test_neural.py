@@ -134,17 +134,17 @@ class TestBackward:
     def test_zero_grad_out(self):
         p = mlp_init(MlpConfig((2, 3, 2), init_seed=1))
         x = np.random.default_rng(2).normal(size=(2, 4))
-        _, cache = forward(p, x)
-        gw, gb = backward(p, cache, np.zeros((2, 4)))
+        _, buffers = forward(p, x)
+        gw, gb = backward(p, buffers, np.zeros((2, 4)))
         assert all(np.all(g == 0) for g in gw + gb)
 
     def test_linear_net_sum_loss_hand_gradient(self):
         # identity activations, loss = sum of outputs: dW_last = 1 h^T etc.
         p = mlp_init(MlpConfig((2, 2, 1), activation="identity", init_seed=6))
         x = np.random.default_rng(7).normal(size=(2, 5))
-        out, cache = forward(p, x)
-        gw, gb = backward(p, cache, np.ones_like(out))
-        np.testing.assert_allclose(gw[1], cache.buffers.hidden[0].sum(axis=1)[None, :], atol=1e-12)
+        out, buffers = forward(p, x)
+        gw, gb = backward(p, buffers, np.ones_like(out))
+        np.testing.assert_allclose(gw[1], buffers.hidden[0].sum(axis=1)[None, :], atol=1e-12)
         np.testing.assert_allclose(gb[1], [5.0], atol=1e-12)
         np.testing.assert_allclose(
             gw[0], p.weights[1].T @ np.ones((1, 5)) @ x.T, atol=1e-12
@@ -155,8 +155,8 @@ class TestBackward:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(2, 6))
         probe = rng.normal(size=(2, 6))
-        out, cache = forward(p, x)
-        gw, gb = backward(p, cache, probe)
+        out, buffers = forward(p, x)
+        gw, gb = backward(p, buffers, probe)
         fd_w, fd_b = finite_diff_param_grads(p, x, probe)
         assert max_rel_err(gw, fd_w) < 1e-4
         assert max_rel_err(gb, fd_b) < 1e-4
@@ -165,12 +165,12 @@ class TestBackward:
         p = mlp_init(MlpConfig((3, 5, 2), activation="relu", init_seed=21))
         rng = np.random.default_rng(22)
         x = rng.normal(size=(3, 8))
-        _, cache = forward(p, x)
+        _, buffers = forward(p, x)
         # seed chosen so no pre-activation sits near the kink
         pre = p.weights[0] @ x + p.biases[0][:, None]
         assert np.abs(pre).min() > 1e-3
         probe = rng.normal(size=(2, 8))
-        gw, gb = backward(p, cache, probe)
+        gw, gb = backward(p, buffers, probe)
         fd_w, fd_b = finite_diff_param_grads(p, x, probe)
         assert max_rel_err(gw, fd_w) < 1e-4
         assert max_rel_err(gb, fd_b) < 1e-4
@@ -248,7 +248,8 @@ class TestTraining:
 
     def test_forward_and_backward_called_twice_per_step(self, monkeypatch):
         # The benchmark tracer counts neural.gflop from these calls: the
-        # params and the batch (forward) or a cache with .x (backward).
+        # params and the batch (forward) or the StepBuffers whose .x is
+        # the batch (backward).
         seen = {"forward": [], "backward": []}
         real_forward, real_backward = neural.forward, neural.backward
 
@@ -314,13 +315,13 @@ def gd_on_every_sample(data, f_cfg, g_cfg, t_cfg):
     g = mlp_init(g_cfg).astype(np.float32)
     history = []
     for _ in range(t_cfg.epochs):
-        f_out, f_cache = forward(f, x)
-        g_out, g_cache = forward(g, y)
+        f_out, f_buffers = forward(f, x)
+        g_out, g_buffers = forward(g, y)
         report = pic_loss(BatchOutputs(f_out, g_out), eps=t_cfg.loss_eps)
-        backward(f, f_cache, report.grad_f)
-        backward(g, g_cache, report.grad_g)
-        f.flat -= t_cfg.lr * f_cache.buffers.grad
-        g.flat -= t_cfg.lr * g_cache.buffers.grad
+        backward(f, f_buffers, report.grad_f)
+        backward(g, g_buffers, report.grad_g)
+        f.flat -= t_cfg.lr * f_buffers.grad
+        g.flat -= t_cfg.lr * g_buffers.grad
         history.append(EpochRecord(report.loss, report.kyfan_term, report.g_energy))
     return f, g, history
 
@@ -446,7 +447,7 @@ class TestFullBatchDistinctColumns:
 
         model, _ = fit_ca_nn_model(data, *FULL_BATCH)
         train_pf, _ = evaluate_model(model, data)
-        assert train_pf.x_codes.first.size == 12
+        assert data.train_codes[0].first.size == 12
         np.testing.assert_allclose(train_pf.f, forward(model.f_params, x)[0], rtol=0, atol=1e-12)
         # two samples whose x differ only by the 2**-30
         lo = int(np.argmax((x[0] == 1.0) & (x[1] == 1.0) & (x[2] == 1.0)))

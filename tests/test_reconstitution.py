@@ -8,7 +8,6 @@ from capic.reconstitution import (
     classify,
     density_ratio,
     from_table,
-    prior_from_counts,
 )
 
 
@@ -154,16 +153,6 @@ def test_g_points_shape_checked():
             labels=("a", "b"),
             prior_y=np.array([0.5, 0.5]),
         )
-
-
-def test_prior_from_counts():
-    prior = prior_from_counts(["a", "b", "b", "b"], labels=("a", "b"))
-    np.testing.assert_allclose(prior, [0.25, 0.75])
-
-
-def test_prior_from_counts_unknown_label_names_it():
-    with pytest.raises(ContractViolationError, match="'zz'"):
-        prior_from_counts(["a", "zz"], labels=("a", "b"))
 
 
 class TestUnknownLabels:
