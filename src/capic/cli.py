@@ -88,7 +88,7 @@ def _cmd_oracle(args):
         path = out / f"{args.kind}_samples.csv"
         header = [f"x{k}" for k in range(ds.x.shape[0])]
         header += [f"y{k}" for k in range(ds.y.shape[0])]
-        write_text_atomic(path, csv_text(header, np.vstack([ds.x, ds.y]).T.tolist()))
+        write_text_atomic(path, csv_text(header, zip(ds.x.T, ds.y.T)))
     print(f"wrote {path}")
     return 0
 
@@ -113,7 +113,7 @@ def _cmd_interpolate(args):
     out.mkdir(parents=True, exist_ok=True)
     header = ["step"] + [f"f{k}" for k in range(path.shape[1])]
     target = out / "interpolation.csv"
-    write_text_atomic(target, csv_text(header, [[i, *row] for i, row in enumerate(path.tolist())]))
+    write_text_atomic(target, csv_text(header, enumerate(path)))
     print(f"wrote {target}")
     return 0
 

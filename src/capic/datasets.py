@@ -361,8 +361,5 @@ def synthetic_wine_csv(path, n_samples=4898, seed=0):
     quality = np.array(
         [grades_by_group[g][rng.integers(0, len(grades_by_group[g]))] for g in group]
     )
-    write_text_atomic(path, csv_text(
-        list(WINE_ATTRIBUTES) + ["quality"],
-        (row.tolist() + [q] for row, q in zip(rows, quality.tolist())),
-    ))
+    write_text_atomic(path, csv_text([*WINE_ATTRIBUTES, "quality"], zip(rows, quality)))
     return path

@@ -43,7 +43,7 @@ from .classical import ContingencyTable, ca_decompose, contingency_from_pmf
 from .datasets import PairedDataset, Split, load_csv
 from .errors import ContractViolationError, CsvParseError
 from .fileio import (
-    csv_records, csv_text, labelled_csv_text, open_input, read_json_object, sha256_of_json,
+    csv_records, csv_text, open_input, read_json_object, sha256_of_json,
     write_json_atomic, write_text_atomic,
 )
 from .model import CaNnModel, fit_ca_nn_model, load_model, save_model
@@ -144,8 +144,17 @@ def _object(value):
     return value
 
 
+def _planes(value):
+    """Plane axes: a list of ``[i, j]`` pairs of distinct non-negative ints."""
+    planes = [tuple(map(int, pair)) for pair in value]
+    if not all(len(axes) == 2 and axes[0] != axes[1] and min(axes) >= 0 for axes in planes):
+        raise ValueError("each plane is two distinct non-negative axes")
+    return planes
+
+
 #: Readers of the top-level keys of a config.
-_TOP_KEYS = {"d": int, "dataset": _object, "f_net": _object, "g_net": _object, "train": _object}
+_TOP_KEYS = {"d": int, "dataset": _object, "f_net": _object, "g_net": _object, "train": _object,
+             "planes": _planes}
 #: Per synthetic source: the readers of its own keys, the ones it
 #: requires, and its sampler, called with the values read, the total
 #: sample count and the seed.
@@ -193,7 +202,7 @@ def build_dataset(dcfg: dict) -> PairedDataset:
 
 
 def read_pmf_csv(path):
-    """Joint-table CSV: header row carries y labels, first column x labels.
+    """Joint-table CSV: header row carries y labels, first column x labels, none repeated.
 
     Rows are read one at a time into float64 arrays (``float()`` per
     cell), so the file's cells are never all held as Python objects.
@@ -206,16 +215,24 @@ def read_pmf_csv(path):
         y_labels = header[1:]
         if not y_labels:
             raise CsvParseError(f"{path}: header has no y labels", line=1)
-        x_labels, table = [], []
+        if len(set(y_labels)) < len(y_labels):
+            repeated = sorted({c for c in y_labels if y_labels.count(c) > 1})
+            raise CsvParseError(f"{path}: header repeats y labels {repeated}", line=1)
+        x_lines, table = {}, []  # the line of each x label, in row order
         for line, row in records:
             if len(row) != len(y_labels) + 1:
                 raise CsvParseError(f"{path}: row width mismatch", line=line)
-            x_labels.append(row[0])
+            if row[0] in x_lines:
+                raise CsvParseError(
+                    f"{path}: x label {row[0]!r} repeats line {x_lines[row[0]]}", line=line)
+            x_lines[row[0]] = line
             try:
                 table.append(np.fromiter(map(float, row[1:]), np.float64, len(y_labels)))
             except ValueError:
                 raise CsvParseError(f"{path}: non-numeric table entry", line=line) from None
-    return np.asarray(table), tuple(x_labels), tuple(y_labels)
+    if not table:
+        raise CsvParseError(f"{path}: no table rows", line=1)
+    return np.asarray(table), tuple(x_lines), tuple(y_labels)
 
 
 #: Readers of the keys of an ``f_net``/``g_net`` and of the ``train`` block.
@@ -303,20 +320,14 @@ def _write_planes(out, source, planes, values=(None, None), **export_kw):
         write_text_atomic(out / f"plane_{i}_{j}.csv", fp.plane_to_csv(plane))
 
 
-def _write_factor_table(path, first, letter, labels, points, counts=None):
-    """One row per point (a row of ``points``): its label, then its coordinates.
+def _write_factor_table(path, names, letter, *columns):
+    """One row per point: its cells in ``columns`` (headed ``names``), then its coordinates.
 
-    Row ``i`` takes ``labels[i]``.  With ``counts`` (one per distinct
-    value) a ``count`` column follows the label.
+    The last of ``columns`` is the k x d matrix of the points, headed
+    ``{letter}0, {letter}1, ...``.  The columns must have the same length.
     """
-    header = [first] + [f"{letter}{k}" for k in range(points.shape[1])]
-    if counts is None:
-        text = labelled_csv_text(csv_text(header, []), [((), labels, points)])
-    else:
-        text = csv_text(header[:1] + ["count"] + header[1:], (
-            [label, count, *row] for label, count, row in zip(labels, counts.tolist(),
-                                                              points.tolist())))
-    write_text_atomic(path, text)
+    header = [*names, *(f"{letter}{k}" for k in range(columns[-1].shape[1]))]
+    write_text_atomic(path, csv_text(header, zip(*columns, strict=True)))
 
 
 def _write_factor_tables(out, prefix, pf, values):
@@ -326,10 +337,10 @@ def _write_factor_tables(out, prefix, pf, values):
                                                     ("y", "label", "g", pf.g, values[1])):
         path = out / f"factors_{side}_{prefix}.csv"
         if side_values is None:
-            _write_factor_table(path, first, letter, samples, rows.T)
+            _write_factor_table(path, [first], letter, samples, rows.T)
         else:
             labels, counts, points = side_values
-            _write_factor_table(path, "label", letter, labels, points.T, counts)
+            _write_factor_table(path, ["label", "count"], letter, labels, counts, points.T)
 
 
 def run_experiment(config, seed=None, out_dir=None) -> Path:
@@ -356,7 +367,8 @@ def run_experiment(config, seed=None, out_dir=None) -> Path:
 
 
 def _run_svd(cfg, out, cfg_hash):
-    dcfg = _read(cfg, "", _TOP_KEYS, required=("dataset",))["dataset"]
+    blocks = _read(cfg, "", _TOP_KEYS, required=("dataset",))
+    dcfg = blocks["dataset"]
     if dcfg.get("source") == "pmf_csv":
         path = _read(dcfg, "dataset.", {"path": str}, required=("path",))["path"]
         table = contingency_from_pmf(*read_pmf_csv(path))
@@ -378,15 +390,15 @@ def _run_svd(cfg, out, cfg_hash):
     else:
         raise ContractViolationError("svd mode supports dataset sources pmf_csv and csv")
     decomp = ca_decompose(table)
-    _write_factor_table(out / "factors_x.csv", "label", "f", table.x_labels, decomp.l_factors)
-    _write_factor_table(out / "factors_y.csv", "label", "g", table.y_labels, decomp.r_factors)
+    _write_factor_table(out / "factors_x.csv", ["label"], "f", table.x_labels, decomp.l_factors)
+    _write_factor_table(out / "factors_y.csv", ["label"], "g", table.y_labels, decomp.r_factors)
     rows = zip(range(decomp.d), decomp.sigmas.tolist(), decomp.scores.tolist(),
                decomp.score_ratios.tolist())
     write_text_atomic(
         out / "scores.csv", csv_text(["component", "sigma", "lambda", "score_ratio"], rows)
     )
     _write_planes(
-        out, decomp, cfg.get("planes", []), x_labels=table.x_labels, y_labels=table.y_labels
+        out, decomp, blocks.get("planes", []), x_labels=table.x_labels, y_labels=table.y_labels
     )
 
 
@@ -408,7 +420,10 @@ def _pic_report(cfg_hash, train_pf, test_pf, **entries):
 
 def _run_train(cfg, out, cfg_hash):
     blocks = _read(cfg, "", _TOP_KEYS, required=("d", "dataset"))
-    d = blocks["d"]
+    d, planes = blocks["d"], blocks.get("planes", [])
+    wide = [axis for axes in planes for axis in axes if axis >= d]
+    if wide:
+        raise ContractViolationError(f"config planes: axis {wide[0]} out of range for d={d}")
     data = build_dataset(blocks["dataset"])
     f_cfg = _mlp_config(blocks.get("f_net", {}), "f_net.", data.x.shape[0], d)
     g_cfg = _mlp_config(blocks.get("g_net", {}), "g_net.", data.y.shape[0], d)
@@ -434,7 +449,7 @@ def _run_train(cfg, out, cfg_hash):
     _write_factor_tables(out, "train", train_pf, train_values)
     if test_pf is not None:
         _write_factor_tables(out, "test", test_pf, _split_values(model, data, test_pf, test=True))
-    _write_planes(out, train_pf, cfg.get("planes", []), train_values)
+    _write_planes(out, train_pf, planes, train_values)
 
 
 def _evaluate_saved(model_path, config, seed, out_dir):

@@ -17,13 +17,12 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
 from .classical import CaDecomposition
 from .errors import ContractViolationError, CsvParseError, UnsupportedOperationError
-from .fileio import csv_records, csv_text, labelled_csv_text
+from .fileio import csv_records, csv_text
 from .neural import forward
 from .whitening import PrincipalFunctions
 
@@ -64,12 +63,6 @@ def _points(matrix_rows, scale_i, scale_j, i, j, labels, side):
         )
     coords_i, coords_j = (matrix_rows[:, [i, j]] * np.array([scale_i, scale_j])).T.tolist()
     return list(zip(map(str, labels), coords_i, coords_j))
-
-
-def _coords(points) -> np.ndarray:
-    """The ``(coord_i, coord_j)`` of each point, as a k x 2 float array."""
-    values = chain.from_iterable(map(itemgetter(1, 2), points))
-    return np.fromiter(values, np.float64, 2 * len(points)).reshape(-1, 2)
 
 
 def export_factor_plane(source, i, j, x_labels=None, y_labels=None, y_points=None,
@@ -113,15 +106,13 @@ def plane_to_csv(plane: FactorPlane) -> str:
     A preamble (axes, score ratios, column names), then one
     ``role,label,coord_i,coord_j`` row per point, x points first.
     """
-    head = csv_text([PLANE_CSV_HEADER], [
-        ["axes", plane.axis_i, plane.axis_j],
-        ["score_ratios", *plane.score_ratios],
-        ["role", "label", "coord_i", "coord_j"],
-    ])
-    return labelled_csv_text(head, [
-        ((role,), [label for label, _, _ in points], _coords(points))
-        for role, points in (("x", plane.x_points), ("y", plane.y_points))
-    ])
+    return csv_text([PLANE_CSV_HEADER], chain(
+        [["axes", plane.axis_i, plane.axis_j],
+         ["score_ratios", *plane.score_ratios],
+         ["role", "label", "coord_i", "coord_j"]],
+        (("x", *point) for point in plane.x_points),
+        (("y", *point) for point in plane.y_points),
+    ))
 
 
 def plane_from_csv(text: str) -> FactorPlane:
@@ -171,8 +162,8 @@ def render_svg(plane: FactorPlane) -> str:
     points as labelled diamonds.  Axis captions carry the score ratios.
     """
     size, margin = SVG_SIZE, SVG_MARGIN
-    x_rows, y_rows = _coords(plane.x_points).tolist(), _coords(plane.y_points).tolist()
-    extent = max((max(abs(a), abs(b)) for a, b in x_rows + y_rows), default=1.0)
+    points = chain(plane.x_points, plane.y_points)
+    extent = max((max(abs(a), abs(b)) for _, a, b in points), default=1.0)
     extent = max(extent * 1.12, 1e-9)
     span = size - 2 * margin
 
@@ -213,9 +204,9 @@ def render_svg(plane: FactorPlane) -> str:
             f'<text class="lbl" x="{cx + 5:.2f}" y="{cy + 3:.2f}">'
         )
 
-    x_marks = [x_mark(ci, cj) for ci, cj in x_rows]
+    x_marks = [x_mark(ci, cj) for _, ci, cj in plane.x_points]
     out += _labelled(plane.x_points, x_marks) if show_x_labels else x_marks
-    out += _labelled(plane.y_points, [y_mark(ci, cj) for ci, cj in y_rows])
+    out += _labelled(plane.y_points, [y_mark(ci, cj) for _, ci, cj in plane.y_points])
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -7,16 +7,8 @@ reproduces every output byte for byte.  Across thread counts the
 floating-point reductions run in another order and the numbers can
 differ in the last digits.
 
-Two CSV writers share one format (``\n`` line ends, the csv module's
-quoting, floats by ``repr`` so they read back exactly):
-
-* :func:`csv_text` writes small tables of mixed cells (loss history,
-  scores, per-value factor tables, a factor plane's preamble) row by row
-  through the csv module.
-* :func:`labelled_csv_text` writes the large tables row by row: a label
-  per row, then a row of floats (svd-mode and per-sample factor tables,
-  a factor plane's points), the bytes :func:`csv_text` would give.
-
+One CSV writer, :func:`csv_text`, writes every table: ``\n`` line ends,
+the csv module's quoting, floats by ``repr`` so they read back exactly.
 One CSV reader, :func:`csv_records`, reads every input table and gives
 each record the physical line it starts on, for error messages.
 """
@@ -29,6 +21,8 @@ import io
 import json
 import os
 import tempfile
+
+import numpy as np
 
 from .errors import ContractViolationError, CsvParseError
 
@@ -94,54 +88,38 @@ def write_text_atomic(path, text: str):
         raise
 
 
+def _line(row) -> str:
+    """One CSV line of ``row``'s cells, without its line end (see :func:`csv_text`)."""
+    cells = []
+    for cell in row:
+        if isinstance(cell, np.ndarray):
+            cells += map(repr, cell.tolist())
+        elif isinstance(cell, float):
+            cells.append(repr(float(cell)))
+        else:
+            text = str(cell)
+            if "," in text or '"' in text or "\n" in text:
+                text = '"' + text.replace('"', '""') + '"'
+            cells.append(text)
+    return '""' if cells == [""] else ",".join(cells)
+
+
 def csv_text(header, rows) -> str:
     """CSV text of a header row and data rows, with ``\n`` line ends.
 
-    The csv module quotes cells that hold a comma, a quote or a
-    newline.  Floats (numpy ones too) are written with ``repr``, so they
-    read back exactly.
+    These are the csv module's bytes.  A float (a numpy one too) is
+    written by ``repr``, so it reads back exactly; any other cell as
+    ``str(cell)``, quoted when it holds a comma, a quote or a newline
+    (a ``\r`` alone is not quoted).  A cell that is a 1-D numpy array
+    stands for its values, each written by ``repr``: pass a wide table as
+    ``zip(labels, matrix)``, so that its rows are formatted one at a time.
+    A row of one empty cell is written ``""``, as the csv module writes
+    it, to tell it from an empty row.
     """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(
-        [repr(float(cell)) if isinstance(cell, float) else cell for cell in row]
-        for row in rows
-    )
-    return buf.getvalue()
-
-
-def _cell(value) -> str:
-    """``str(value)`` as one CSV cell, quoted as the csv module quotes it."""
-    text = str(value)
-    if "," in text or '"' in text or "\n" in text:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([text])
-        return buf.getvalue()[:-1]
-    return text
-
-
-def labelled_csv_text(head: str, blocks) -> str:
-    """The text ``head`` (say, from :func:`csv_text`), then blocks of labelled float rows.
-
-    Each block is ``(lead, labels, rows)``: row ``i`` of the 2-D ``rows``
-    is written as the cells of ``lead``, ``str(labels[i])`` and the row's
-    values by ``repr``, the same bytes :func:`csv_text` gives such a row.
-    Labels beyond the rows are ignored; too few raise ``IndexError``.
-    """
-    buf = io.StringIO()
-    buf.write(head)
-    for lead, labels, rows in blocks:
-        if len(labels) < len(rows):
-            raise IndexError(f"{len(labels)} labels for {len(rows)} rows")
-        if rows.shape[1] == 0:
-            csv.writer(buf, lineterminator="\n").writerows(
-                [*lead, str(labels[i])] for i in range(len(rows))
-            )
-            continue
-        prefix = "".join(_cell(cell) + "," for cell in lead)
-        for label, values in zip(labels, rows):  # a wide table is not held as text twice
-            buf.write(f"{prefix}{_cell(label)},{','.join(map(repr, values.tolist()))}\n")
+    buf.write(_line(header) + "\n")
+    for row in rows:  # a wide table is not held as Python floats all at once
+        buf.write(_line(row) + "\n")
     return buf.getvalue()
 
 

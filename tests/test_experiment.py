@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import sys
 
 import numpy as np
@@ -135,8 +136,17 @@ class TestRunExperiment:
         decomp = ca_decompose(table)
         for side, letter, labels, factors in (("x", "f", table.x_labels, decomp.l_factors),
                                               ("y", "g", table.y_labels, decomp.r_factors)):
-            experiment._write_factor_table(tmp_path / side, "label", letter, labels, factors)
+            experiment._write_factor_table(tmp_path / side, ["label"], letter, labels, factors)
             assert (out / f"factors_{side}.csv").read_bytes() == (tmp_path / side).read_bytes()
+
+    @pytest.mark.parametrize("matrix", [np.ones((3, 2)), np.arange(6.0).reshape(3, 2)])
+    def test_too_few_labels_raise_value_error(self, tmp_path, matrix):
+        # labels and rows are paired strictly: a short (or long) label list is
+        # an error, and no table is written
+        for labels in (["a", "b"], ["a", "b", "c", "d"]):
+            with pytest.raises(ValueError):
+                experiment._write_factor_table(tmp_path / "t.csv", ["label"], "g", labels, matrix)
+        assert not (tmp_path / "t.csv").exists()
 
     @staticmethod
     def _categorical_csv_config(tmp_path, xs, ys, test_fraction):
@@ -160,7 +170,7 @@ class TestRunExperiment:
         decomp = ca_decompose(table)
         for side, letter, labels, factors in (("x", "f", table.x_labels, decomp.l_factors),
                                               ("y", "g", table.y_labels, decomp.r_factors)):
-            experiment._write_factor_table(tmp_path / side, "label", letter, labels, factors)
+            experiment._write_factor_table(tmp_path / side, ["label"], letter, labels, factors)
             assert (out / f"factors_{side}.csv").read_bytes() == (tmp_path / side).read_bytes()
         every_row = run_experiment(self._categorical_csv_config(tmp_path, xs, ys, 0.0))
         assert (every_row / "factors_x.csv").read_bytes() != (out / "factors_x.csv").read_bytes()
@@ -475,13 +485,16 @@ class TestBuildDataset:
         # a quoted label holding a newline: the next row starts on line 4
         (',a,b\n"r\n1",0.5,0.5\ns,0.25\n', "row width mismatch", 4),
         (',a,b\n"r\n1",0.5,0.5\n"s\n\n2",0.25,oops\n', "non-numeric table entry", 4),
+        (",a,b\n", "no table rows", 1),
+        (",a,b,a\nr,0.5,0.25,0.25\n", "header repeats y labels ['a']", 1),
+        (',a,b\nu,0.25,0.25\n"v\n1",0.25,0\nu,0,0.25\n', "x label 'u' repeats line 2", 5),
     ])
     def test_pmf_reader_names_the_line(self, tmp_path, text, message, line):
         from capic.errors import CsvParseError
 
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        with pytest.raises(CsvParseError, match=f"{message} \\(line {line}\\)$") as info:
+        with pytest.raises(CsvParseError, match=f"{re.escape(message)} \\(line {line}\\)$") as info:
             read_pmf_csv(path)
         assert info.value.line == line
 
@@ -718,9 +731,14 @@ class TestCli:
         ("f_net.output_clip", 10.0, "config sets unknown key f_net.output_clip"),
         ("g_net.width", 8, "config sets unknown key g_net.width"),
         ("train.epoch", 3, "config sets unknown key train.epoch"),
+        ("planes", [[0]], "config planes = [[0]]: each plane is two distinct non-negative axes"),
+        ("planes", [[0, "a"]], "config planes = [[0, 'a']]: invalid literal for int()"),
+        ("planes", [[1, 1]], "config planes = [[1, 1]]: each plane is two distinct"),
+        ("planes", [[0, 1], [0, 5]], "config planes: axis 5 out of range for d=2"),
     ], ids=["no-d", "no-epochs", "no-n_samples", "bad-lr", "no-dataset", "no-n_bits",
             "no-delta", "no-sigma2", "no-cov", "csv-no-path", "csv-no-schema", "train-not-object",
-            "unknown-f_net-key", "unknown-g_net-key", "unknown-train-key"])
+            "unknown-f_net-key", "unknown-g_net-key", "unknown-train-key", "planes-one-axis",
+            "planes-not-int", "planes-same-axis", "planes-axis-beyond-d"])
     def test_config_error_names_the_key(self, tmp_path, capsys, key, value, message):
         cfg = tiny_bsc_config(tmp_path / "run", epochs=2)
         *outer, name = key.split(".")
@@ -733,6 +751,7 @@ class TestCli:
         cfg_path.write_text(dump_json(cfg))
         assert main(["train", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "run" / "model.json").exists()  # refused before any work
 
     @pytest.mark.parametrize("key", ["dataset", "f_net", "g_net", "train"])
     def test_seed_override_names_a_block_that_is_not_an_object(self, tmp_path, capsys, key):

@@ -12,13 +12,13 @@ from capic.factor_plane import (
     plane_to_csv,
     render_svg,
 )
-from capic.fileio import csv_text
 from capic.linalg import distinct_rows
 from capic.model import CaNnModel
 from capic.neural import MlpConfig, MlpParams
 from capic.whitening import PrincipalFunctions
 
 from test_classical import contingency_from_samples
+from test_fileio import reference_csv_text
 
 
 def reference_points(matrix_rows, scale_i, scale_j, i, j, labels):
@@ -32,7 +32,7 @@ def reference_points(matrix_rows, scale_i, scale_j, i, j, labels):
 
 
 def reference_plane_csv(plane):
-    """The per-point plane writer: one ``csv_text`` row per point."""
+    """The per-point plane writer: one :func:`reference_csv_text` row per point."""
     rows = [
         ["axes", plane.axis_i, plane.axis_j],
         ["score_ratios", *plane.score_ratios],
@@ -40,7 +40,7 @@ def reference_plane_csv(plane):
     ]
     for role, points in (("x", plane.x_points), ("y", plane.y_points)):
         rows += [[role, *point] for point in points]
-    return csv_text([fp.PLANE_CSV_HEADER], rows)
+    return reference_csv_text([fp.PLANE_CSV_HEADER], rows)
 
 
 def reference_render_svg(plane):
@@ -280,7 +280,8 @@ class TestPointsOnceEachPosition:
         # the per-point bytes of those points, in the frame and axes of the
         # plane of every point (its positions are the same).
         plane = PLANES[name]
-        first = np.sort(distinct_rows(fp._coords(plane.x_points))[0]).tolist()
+        coords = np.array([(ci, cj) for _, ci, cj in plane.x_points]).reshape(-1, 2)
+        first = np.sort(distinct_rows(coords)[0]).tolist()
         coded = FactorPlane(plane.axis_i, plane.axis_j, [plane.x_points[k] for k in first],
                             plane.y_points, plane.score_ratios)
         svg = render_svg(coded)

@@ -1,29 +1,45 @@
+import ast
 import csv
 import io
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from capic.errors import CsvParseError
-from capic.fileio import csv_records, csv_text, labelled_csv_text, write_text_atomic
+from capic.fileio import csv_records, csv_text, write_text_atomic
 from capic.linalg import distinct_rows
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "capic"
+
+
+def reference_csv_text(header, rows):
+    """The csv module's bytes for a header and rows of plain cells, floats by ``repr``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [repr(float(cell)) if isinstance(cell, float) else cell for cell in row]
+        for row in rows
+    )
+    return buf.getvalue()
 
 
 def reference_table_text(header, labels, matrix, lead=(), counts=None):
-    """The per-row writer :func:`labelled_csv_text` replaced: one ``csv_text`` row per matrix row.
+    """One :func:`reference_csv_text` row per matrix row.
 
-    Row ``i`` takes ``labels[i]``, then ``counts[i]`` if counts are given;
-    the floats go through ``csv_text``'s ``repr`` per cell.
+    Row ``i`` takes the cells of ``lead``, ``str(labels[i])``, then
+    ``counts[i]`` if counts are given, then the row's floats.
     """
     rows = [[*lead, str(labels[i]), *([] if counts is None else [counts[i]]), *values]
             for i, values in enumerate(matrix.tolist())]
-    return csv_text(header, rows)
+    return reference_csv_text(header, rows)
 
 
 def emitted_table_text(header, labels, matrix, lead=()):
-    return labelled_csv_text(csv_text(header, []), [(lead, labels, matrix)])
+    return csv_text(header, ((*lead, label, values) for label, values in zip(labels, matrix)))
 
 
 def test_written_file_mode_follows_umask(tmp_path):
@@ -92,9 +108,9 @@ def test_awkward_labels_are_quoted_as_the_csv_module_quotes_them(matrix, lead):
 
 
 def test_blocks_follow_the_head_in_order():
-    head = csv_text(["# doc"], [["axes", 0, 1], ["ratios", 0.75, 0.125]])
     x, y = np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([[-1.0, 2.0]])
-    text = labelled_csv_text(head, [(("x",), ["a", "b"], x), (("y",), ["c,d"], y)])
+    text = csv_text(["# doc"], [["axes", 0, 1], ["ratios", 0.75, 0.125],
+                                ("x", "a", x[0]), ("x", "b", x[1]), ("y", "c,d", y[0])])
     assert text == (
         "# doc\naxes,0,1\nratios,0.75,0.125\n"
         "x,a,0.5,0.5\nx,b,0.5,0.5\n"
@@ -102,11 +118,48 @@ def test_blocks_follow_the_head_in_order():
     )
 
 
-@pytest.mark.parametrize("matrix", [np.ones((3, 2)), np.arange(6.0).reshape(3, 2)])
-def test_too_few_labels_raise_index_error(matrix):
-    # labels are indexed by row, never zipped: a short label list is an error
-    with pytest.raises(IndexError):
-        emitted_table_text(["label", "g0", "g1"], ["a", "b"], matrix)
+#: Rows of each kind of cell capic writes.
+CELL_ROWS = {
+    "awkward strings": [AWKWARD_LABELS, *([label] for label in AWKWARD_LABELS),
+                        ["with\r\nboth", '"', ",", "\n", " spaced "]],
+    "ints": [[0, -7, 2**70, np.int64(5), np.bincount([1, 1])[1], True]],
+    "floats": [[0.1, 1 / 3, 1e-300, 2.5e16, np.float64(0.1), np.float64(2) / 3, np.float32(0.1)]],
+    "float32 arrays": [["a", np.array([0.1, 1 / 3, 7.0], dtype=np.float32)]],
+    "nan, inf and -0.0": [[np.nan, np.inf, -np.inf, -0.0, NEGATIVE_NAN],
+                          [np.array([np.nan, -np.inf, np.inf, -0.0, 0.0, NEGATIVE_NAN])]],
+    "empty arrays": [["a", np.empty(0)], [np.empty(0), "b"], ["", np.empty(0)], [np.empty(0)]],
+    "a lone empty cell": [[""], ["", ""], ["", np.array([1.0])]],
+    "an empty row": [[], ["x"], []],
+}
+
+
+@pytest.mark.parametrize("name", CELL_ROWS)
+def test_csv_text_gives_the_csv_module_bytes(name):
+    rows = CELL_ROWS[name]
+    plain = [
+        [value for cell in row
+         for value in (cell.tolist() if isinstance(cell, np.ndarray) else [cell])]
+        for row in rows
+    ]
+    assert csv_text(["h", "i"], iter(rows)) == reference_csv_text(["h", "i"], plain)
+
+
+def test_only_fileio_knows_the_csv_format():
+    # One CSV writer and one reader: no other module imports the csv module
+    # or doubles quotes, as quoting a CSV cell does.
+    def csv_code(path):
+        return [
+            node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "csv"
+            or isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and '""' in node.value
+        ]
+
+    assert csv_code(SRC / "fileio.py")  # the rule sees the writer it protects
+    offenders = {path.name: csv_code(path) for path in sorted(SRC.glob("*.py"))
+                 if path.name != "fileio.py" and csv_code(path)}
+    assert offenders == {}
 
 
 def test_csv_records_give_the_line_each_record_starts_on():
