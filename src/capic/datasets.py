@@ -16,10 +16,11 @@ distinct gets None.  With the codes:
   the initial loss (:func:`capic.neural.evaluate_loss`) run each net
   once per distinct column and take the loss over the distinct (x, y)
   pairs, each pair's outputs scaled by its count;
-* the float64 passes (the trained nets' pass in
-  :func:`capic.model.fit_ca_nn_model` and
+* the float64 passes (:func:`capic.neural.encode`, for the trained
+  and the folded nets in :func:`capic.model.fit_ca_nn_model` and in
   :func:`capic.experiment.evaluate_model`) run each net once per
-  distinct column and gather the outputs back to the samples;
+  distinct column, in fixed blocks of columns, and gather the outputs
+  back to the samples;
 * the factor tables and planes of
   :func:`capic.experiment.run_experiment` read the split's codes from
   the dataset and write such a side once per code: its count in the
@@ -295,9 +296,11 @@ def load_csv(path, schema, standardize=False, test_fraction=0.0, split_seed=0):
             continue
         mat = np.ascontiguousarray(table[[header[i] in cols for i in numeric]])
         if standardize:
-            std = mat[:, train].std(axis=1)
-            stats[p] = {"mean": mat[:, train].mean(axis=1).tolist(),
+            rows = mat[:, train]
+            std = rows.std(axis=1)
+            stats[p] = {"mean": rows.mean(axis=1).tolist(),
                         "std": np.where(std > 0, std, 1.0).tolist()}
+            del rows  # a copy of the training columns, not kept through the standardization
             mat = apply_standardization(stats[p], mat)
         built[p] = mat, None
     provenance = {"source": "csv", "path": str(path), "x_columns": sides["x"][0],

@@ -306,6 +306,13 @@ def _split_values(model: CaNnModel, data: PairedDataset, pf, test=False):
     )
 
 
+def _check_planes(planes, d):
+    """Reject a config plane with an axis of ``d`` or more, before any work is written."""
+    wide = [axis for axes in planes for axis in axes if axis >= d]
+    if wide:
+        raise ContractViolationError(f"config planes: axis {wide[0]} out of range for d={d}")
+
+
 def _write_planes(out, source, planes, values=(None, None), **export_kw):
     """Export each ``(i, j)`` of ``planes`` and write ``plane_{i}_{j}.svg`` and ``.csv``.
 
@@ -389,6 +396,8 @@ def _run_svd(cfg, out, cfg_hash):
         table = ContingencyTable(counts / counts.sum(), ds.x_labels, ds.y_labels)
     else:
         raise ContractViolationError("svd mode supports dataset sources pmf_csv and csv")
+    planes = blocks.get("planes", [])
+    _check_planes(planes, min(table.table.shape) - 1)
     decomp = ca_decompose(table)
     _write_factor_table(out / "factors_x.csv", ["label"], "f", table.x_labels, decomp.l_factors)
     _write_factor_table(out / "factors_y.csv", ["label"], "g", table.y_labels, decomp.r_factors)
@@ -397,9 +406,7 @@ def _run_svd(cfg, out, cfg_hash):
     write_text_atomic(
         out / "scores.csv", csv_text(["component", "sigma", "lambda", "score_ratio"], rows)
     )
-    _write_planes(
-        out, decomp, blocks.get("planes", []), x_labels=table.x_labels, y_labels=table.y_labels
-    )
+    _write_planes(out, decomp, planes, x_labels=table.x_labels, y_labels=table.y_labels)
 
 
 def _pic_report(cfg_hash, train_pf, test_pf, **entries):
@@ -421,9 +428,7 @@ def _pic_report(cfg_hash, train_pf, test_pf, **entries):
 def _run_train(cfg, out, cfg_hash):
     blocks = _read(cfg, "", _TOP_KEYS, required=("d", "dataset"))
     d, planes = blocks["d"], blocks.get("planes", [])
-    wide = [axis for axes in planes for axis in axes if axis >= d]
-    if wide:
-        raise ContractViolationError(f"config planes: axis {wide[0]} out of range for d={d}")
+    _check_planes(planes, d)
     data = build_dataset(blocks["dataset"])
     f_cfg = _mlp_config(blocks.get("f_net", {}), "f_net.", data.x.shape[0], d)
     g_cfg = _mlp_config(blocks.get("g_net", {}), "g_net.", data.y.shape[0], d)

@@ -23,7 +23,7 @@ import numpy as np
 from .classical import CaDecomposition
 from .errors import ContractViolationError, CsvParseError, UnsupportedOperationError
 from .fileio import csv_records, csv_text
-from .neural import forward
+from .neural import encode
 from .whitening import PrincipalFunctions
 
 PLANE_CSV_HEADER = "# factor-plane v1"
@@ -238,4 +238,4 @@ def interpolate_path(model, x_start, x_end, steps: int) -> np.ndarray:
         raise ContractViolationError("endpoint dimensions differ")
     t = np.linspace(0.0, 1.0, steps)
     batch = a[:, None] * (1.0 - t)[None, :] + b[:, None] * t[None, :]
-    return forward(model.f_params, batch)[0].T
+    return encode(model.f_params, batch, None).T

@@ -5,6 +5,9 @@ Training ends by folding the whitening fitted on the training split
 ``W <- A W`` and ``b <- A (b - mean)``.  The model also keeps the
 training-split diagonal of the folded nets and the final loss terms of
 the nets before the fold, and serializes to a versioned JSON document.
+The trained and the folded nets each take their own blocked pass over
+the training split (:func:`capic.neural.encode`); no activations are
+handed from one pass to the next.
 
 Precision: the nets are trained in float32 (see :mod:`capic.neural`)
 and handed over as float64 copies of the float32 values.  Everything
@@ -21,9 +24,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .fileio import read_json_object, write_json_atomic
-from .neural import (
-    MlpConfig, MlpParams, distinct_columns, forward, gather_columns, output_layer, train_ca_nn,
-)
+from .neural import MlpConfig, MlpParams, encode, train_ca_nn
 from .objective import BatchOutputs, pic_loss
 from .whitening import fit_whitening, principal_functions
 
@@ -51,39 +52,25 @@ def _fold(p: MlpParams, a, mean) -> MlpParams:
     return MlpParams(p.config, [*p.weights[:-1], w], [*p.biases[:-1], b])
 
 
-def _trained_pass(p: MlpParams, a, codes):
-    """The outputs of ``p`` on the columns of ``a``, and its last hidden activations.
-
-    The net runs over :func:`~capic.neural.distinct_columns`; the outputs
-    are gathered back to the columns, the activations are not.
-    """
-    out, buffers = forward(p, distinct_columns(a, codes))
-    return gather_columns(out, codes), buffers.hidden[-1]
-
-
 def fit_ca_nn_model(data, f_cfg, g_cfg, t_cfg, metadata=None):
     """Train, whiten on the training split, fold the whitening into the nets.
 
     Returns ``(model, history)``.  One pass of the trained nets over the
-    training split gives the whitening and the final loss terms.  The
-    folded nets share the hidden layers, so their output layers on that
-    pass's last hidden activations give the folded nets' training-split
-    outputs: the ones :func:`capic.experiment.evaluate_model` reports,
-    whose diagonal the model keeps.  The pass runs once per distinct
-    column (repeated columns: see :mod:`capic.datasets`).
+    training split gives the whitening and the final loss terms, and one
+    pass of the folded nets gives their training-split outputs: the ones
+    :func:`capic.experiment.evaluate_model` reports, whose diagonal the
+    model keeps.  Each pass is an :func:`~capic.neural.encode`, once per
+    distinct column (repeated columns: see :mod:`capic.datasets`) in
+    fixed blocks, so no pass holds a whole split's activations.
     """
     f_params, g_params, history = train_ca_nn(data, f_cfg, g_cfg, t_cfg)
     (x, y), (x_codes, y_codes) = data.train_arrays(), data.train_codes
-    f_out, f_hidden = _trained_pass(f_params, x, x_codes)
-    g_out, g_hidden = _trained_pass(g_params, y, y_codes)
+    f_out, g_out = encode(f_params, x, x_codes), encode(g_params, y, y_codes)
     transform = fit_whitening(f_out, g_out)
     final = pic_loss(BatchOutputs(f_out, g_out), eps=t_cfg.loss_eps)
     f_net = _fold(f_params, transform.a, transform.mean_f)
     g_net = _fold(g_params, transform.b, transform.mean_g)
-    pf = principal_functions(
-        gather_columns(output_layer(f_net, f_hidden), x_codes),
-        gather_columns(output_layer(g_net, g_hidden), y_codes),
-    )
+    pf = principal_functions(encode(f_net, x, x_codes), encode(g_net, y, y_codes))
     meta = dict(metadata or {})
     meta.setdefault("x_kind", data.x_kind)
     meta.setdefault("y_kind", data.y_kind)

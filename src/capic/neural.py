@@ -34,6 +34,13 @@ runs unscaled on the n samples, gathered from each side's distinct
 columns.  Mini-batches keep the plain per-sample path: a batch of 64
 holds few repeats, and the fixed per-step cost of the gather and the
 sums outweighs the smaller products.
+
+Forward-only passes: :func:`encode`, the pass of a net over a whole
+split (or any other many columns) that trains nothing, runs the net
+over its distinct columns in fixed blocks of ``_BLOCK`` columns, the
+last block taking the rest, and writes each block's outputs into one
+d x n array.  Its memory beyond that output is a few blocks'
+activations, whatever n is.
 """
 
 from __future__ import annotations
@@ -50,6 +57,8 @@ from .linalg import as_matrix
 from .objective import DEFAULT_EPS, BatchOutputs, pic_loss
 
 _ACTIVATIONS = ("relu", "tanh", "identity")  # identity is a diagnostic hook
+# encode's block width: 512 KB per 32-wide float64 layer, and a power of two, so whole BLAS panels
+_BLOCK = 2048
 
 
 @dataclass
@@ -224,23 +233,33 @@ class _Encoding(NamedTuple):
         return sums.reshape(shape)
 
 
-def distinct_columns(a, codes: ColumnCodes | None):
-    """The distinct columns of ``a`` (``a`` itself when ``codes`` is None)."""
-    return a if codes is None else np.take(a, codes.first, axis=1)
-
-
-def gather_columns(out, codes: ColumnCodes | None):
-    """Per column of the coded side, its column of ``out`` (a pass over :func:`distinct_columns`)."""
-    return out if codes is None else np.take(out, codes.inverse, axis=1)
-
-
 def encode(p: MlpParams, a, codes: ColumnCodes | None) -> np.ndarray:
-    """The net's outputs on the columns of ``a``, as ``forward(p, a)[0]`` gives them.
+    """The net's outputs on the columns of ``a`` (d x n), as ``forward(p, a)[0]`` gives them.
 
     With ``codes`` the net runs once per distinct column and the outputs
-    are gathered back to the columns.
+    are gathered back to the columns.  The columns run through
+    :func:`forward` in blocks of ``_BLOCK``, the last one taking the
+    remaining fewer than ``_BLOCK`` with it, so the memory beyond the
+    output does not grow with n, and :func:`forward` checks the width
+    and finiteness of every block.  The blocks give the bytes of a
+    single pass as long as the BLAS gives a column the same bits in a
+    product of any width.  OpenBLAS does for whole kernel panels, and
+    ``_BLOCK`` is a multiple of the panel width; when the column count
+    is not, the last few columns can differ in the last bit where the
+    single product and the last block fall on either side of OpenBLAS's
+    small-matrix size.
     """
-    return gather_columns(forward(p, distinct_columns(a, codes))[0], codes)
+    cols = a if codes is None else np.take(a, codes.first, axis=1)
+    n = cols.shape[1]
+    out = np.empty((p.config.out_width, n), p.flat.dtype)
+    starts = range(0, max(n - _BLOCK, 0) + 1, _BLOCK)
+    buffers = None
+    for start, stop in zip(starts, [*starts[1:], n]):
+        if buffers is None or buffers.out.shape[1] != stop - start:
+            buffers = None  # the last block's arrays replace the others', not join them
+            buffers = StepBuffers(p, stop - start)
+        out[:, start:stop] = forward(p, cols[:, start:stop], buffers)[0]
+    return out if codes is None else np.take(out, codes.inverse, axis=1)
 
 
 def _side_encoding(p: MlpParams, a, codes: ColumnCodes | None, inverse, scale) -> _Encoding:
@@ -329,21 +348,9 @@ def forward(p: MlpParams, x_batch, buffers: StepBuffers | None = None):
         h += b[:, None]
         _activate(h, cfg.activation)
         a = h
-    return output_layer(p, a, bufs.out), bufs
-
-
-def output_layer(p: MlpParams, hidden, out=None) -> np.ndarray:
-    """The linear output layer of ``p`` on the last hidden activations ``hidden``.
-
-    Given the ``hidden[-1]`` of the buffers of a forward pass of a net
-    that shares every other layer with ``p`` (a net and its fold, see
-    :func:`capic.model.fit_ca_nn_model`), this is the output
-    :func:`forward` gives for ``p`` on that batch, without rerunning the
-    hidden layers.
-    """
-    out = np.matmul(p.weights[-1], hidden, out=out)
+    out = np.matmul(p.weights[-1], a, out=bufs.out)
     out += p.biases[-1][:, None]
-    return out
+    return out, bufs
 
 
 def backward(p: MlpParams, buffers: StepBuffers, grad_out):

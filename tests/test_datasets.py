@@ -134,6 +134,10 @@ class TestLoadCsv:
         # stored stats reproduce the transform
         stats = ds.provenance["standardization"]["x"]
         assert len(stats["mean"]) == 1
+        # and are numpy's statistics of the training rows, bit for bit
+        raw = np.array([[float(v) for v in line.split(",")[:1]]
+                        for line in rows.splitlines()]).T[:, ds.split.train_idx]
+        assert stats == {"mean": raw.mean(axis=1).tolist(), "std": raw.std(axis=1).tolist()}
 
 
 class TestOneHot:

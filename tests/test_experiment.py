@@ -640,6 +640,17 @@ class TestCli:
         assert ((tmp_path / "config" / "plane_0_1.svg").read_bytes()
                 == (tmp_path / "pmf" / "plane_0_1.svg").read_bytes())
 
+    def test_svd_plane_beyond_the_table_exits_2_before_any_table(self, tmp_path, capsys):
+        # a 3 x 3 table has d = 2 non-trivial components
+        pmf_path = tmp_path / "table.csv"
+        pmf_path.write_text(",u,v,w\nr1,0.2,0.05,0.05\nr2,0.05,0.2,0.1\nr3,0.1,0.05,0.2\n")
+        out = tmp_path / "out"
+        assert main(["svd", "--pmf", str(pmf_path), "--plane", "0", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: config planes: axis 5 out of range for d=2")
+        for name in ("factors_x.csv", "factors_y.csv", "scores.csv"):
+            assert not (out / name).exists(), name
+
     @pytest.mark.parametrize("argv", [[], ["--config", "c.json", "--pmf", "t.csv"]],
                              ids=["neither", "both"])
     def test_svd_needs_exactly_one_of_config_and_pmf(self, tmp_path, capsys, argv):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from capic import factor_plane as fp
+from capic import neural
 from capic.classical import ca_decompose, contingency_from_pmf
 from capic.errors import ContractViolationError, CsvParseError, UnsupportedOperationError
 from capic.factor_plane import (
@@ -14,7 +15,7 @@ from capic.factor_plane import (
 )
 from capic.linalg import distinct_rows
 from capic.model import CaNnModel
-from capic.neural import MlpConfig, MlpParams
+from capic.neural import MlpConfig, MlpParams, forward
 from capic.whitening import PrincipalFunctions
 
 from test_classical import contingency_from_samples
@@ -321,6 +322,14 @@ class TestInterpolatePath:
         model = affine_model("continuous")
         path = interpolate_path(model, [1.0, 2.0], [1.0, 2.0], steps=7)
         assert np.all(path == path[0])
+
+    def test_more_steps_than_a_block_are_one_forward_pass(self):
+        model = affine_model("continuous")
+        steps = 3 * neural._BLOCK + 5
+        path = interpolate_path(model, [0.5, -1.0], [2.0, 3.0], steps=steps)
+        t = np.linspace(0.0, 1.0, steps)
+        batch = np.array([[0.5], [-1.0]]) * (1.0 - t) + np.array([[2.0], [3.0]]) * t
+        assert np.array_equal(path, forward(model.f_params, batch)[0].T)
 
     def test_categorical_rejected(self):
         model = affine_model("onehot")

@@ -1,10 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import capic.neural as neural
-from capic.datasets import PairedDataset
+from capic.datasets import PairedDataset, column_codes
 from capic.errors import ContractViolationError, TrainingDivergedError
 from capic.experiment import build_dataset, evaluate_model
 from capic.model import fit_ca_nn_model
@@ -14,6 +15,7 @@ from capic.neural import (
     MlpParams,
     TrainConfig,
     backward,
+    encode,
     evaluate_loss,
     forward,
     mlp_init,
@@ -370,6 +372,77 @@ def assert_runs_agree(run, ref):
     np.testing.assert_allclose(*terms, rtol=FLOAT32_RTOL)
     for a, b in ((f, f_ref), (g, g_ref)):
         np.testing.assert_allclose(a.flat, b.flat, rtol=FLOAT32_RTOL, atol=FLOAT32_RTOL)
+
+
+BLOCK = neural._BLOCK
+
+
+def repeated_columns(n, width, seed):
+    """``n`` distinct columns, each used twice and shuffled: ``(a, codes)``."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(width, n))[:, rng.permutation(np.repeat(np.arange(n), 2))]
+    return a, column_codes(a)
+
+
+class TestEncode:
+    # Nets at most 8 wide keep every product of these column counts under
+    # OpenBLAS's small-matrix size, which the single pass and the blocks
+    # then share (see encode's docstring; test_wide_layers covers 32-wide
+    # layers at column counts that fill the kernel panels).
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("coded", [False, True], ids=["samples", "codes"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_is_one_forward_pass(self, n, activation, coded, dtype):
+        p = mlp_init(MlpConfig((4, 8, 8, 3), activation, init_seed=5)).astype(dtype)
+        if coded:
+            a, codes = repeated_columns(n, 4, seed=n)
+            assert codes.first.size == n
+            ref = forward(p, a[:, codes.first])[0][:, codes.inverse]
+        else:
+            a, codes = np.random.default_rng(n).normal(size=(4, n)), None
+            ref = forward(p, a)[0]
+        out = encode(p, a, codes)
+        assert out.dtype == dtype
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("n", [3 * BLOCK + 8, 5 * BLOCK + 1024])
+    def test_wide_layers(self, n):
+        p = mlp_init(MlpConfig((11, 32, 32, 3), init_seed=6))
+        a = np.random.default_rng(n).normal(size=(11, n))
+        assert np.array_equal(encode(p, a, None), forward(p, a)[0])
+
+    def test_runs_fixed_blocks_the_last_taking_the_rest(self, monkeypatch):
+        widths = forward_widths(monkeypatch)
+        p = mlp_init(MlpConfig((2, 4, 2)))
+        for n in (5, BLOCK, 2 * BLOCK, 3 * BLOCK + 5):
+            encode(p, np.ones((2, n)), None)
+        assert widths == [5, BLOCK, BLOCK, BLOCK, BLOCK, BLOCK, BLOCK + 5]
+
+    def test_every_block_is_checked(self):
+        p = mlp_init(MlpConfig((2, 4, 2)))
+        a = np.zeros((2, 3 * BLOCK + 5))
+        a[1, -1] = np.nan
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            encode(p, a, None)
+        with pytest.raises(ContractViolationError, match="input width"):
+            encode(p, np.zeros((3, 2 * BLOCK)), None)
+
+    def test_memory_beyond_the_output_does_not_grow_with_n(self):
+        # The traced peak at 16 blocks may exceed that at 4 blocks by the
+        # larger output (d * 12 blocks of float64) and 16 KiB of slack; a
+        # single pass would add each hidden layer's 12 blocks as well.
+        p = mlp_init(MlpConfig((4, 32, 32, 3), init_seed=7))
+        peaks = []
+        for n in (4 * BLOCK, 16 * BLOCK):
+            a = np.random.default_rng(n).normal(size=(4, n))
+            tracemalloc.start()
+            try:
+                encode(p, a, None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 3 * 12 * BLOCK * 8 + 16 * 1024
 
 
 class TestFullBatchDistinctColumns:
