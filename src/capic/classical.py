@@ -27,6 +27,14 @@ from .linalg import as_matrix, svd
 MAX_EXACT_CELLS = 2 ** 20
 
 
+def check_exact_cells(cells: int, what: str):
+    """Raise :class:`CapacityError` when ``what`` has more than ``MAX_EXACT_CELLS`` cells."""
+    if cells > MAX_EXACT_CELLS:
+        raise CapacityError(
+            f"{what} has {cells} cells, over the exact-oracle cap {MAX_EXACT_CELLS}"
+        )
+
+
 @dataclass
 class ContingencyTable:
     """Joint probability table over two finite alphabets.
@@ -73,6 +81,8 @@ class CaDecomposition:
     shares of the total.  ``sigmas`` exposes the raw singular values;
     the two spectra are deliberately kept side by side because the
     literature is loose about which one it calls the "components".
+    From :func:`ca_decompose` the two factor matrices are views into the
+    SVD's ``u`` and ``vt`` (``r_factors`` a transposed one), scaled in place.
     """
 
     l_factors: np.ndarray
@@ -141,9 +151,16 @@ def q_matrix(t: ContingencyTable) -> np.ndarray:
     its singular values lie in [0, 1]; it is the zero matrix exactly
     when the two variables are independent.  The marginals are positive:
     :class:`ContingencyTable` rejects an all-zero row or column.
+
+    It holds two table-sized arrays: the difference, which becomes the
+    result, and the expected table, which takes its own square root
+    before the difference is divided by it in place.  Each entry gets
+    the operations of ``(P - E) / sqrt(E)``, so the same bytes.
     """
     expected = np.outer(t.marginals_x, t.marginals_y)
-    return (t.table - expected) / np.sqrt(expected)
+    q = t.table - expected
+    q /= np.sqrt(expected, out=expected)
+    return q
 
 
 def ca_decompose(t: ContingencyTable) -> CaDecomposition:
@@ -152,15 +169,19 @@ def ca_decompose(t: ContingencyTable) -> CaDecomposition:
     The ratio matrix is already centered, so its leading d = min(|X|,
     |Y|) - 1 singular triplets are exactly the non-trivial factors; the
     remaining triplet spans the null direction induced by centering and
-    is discarded.
+    is discarded.  The factors are ``u[:, :d]`` and ``vt[:d].T`` divided
+    in place by the roots of the marginals: views, not copies, with the
+    bytes of the out-of-place quotients.
     """
     q = q_matrix(t)
     u, s, vt = svd(q)
     d = min(q.shape) - 1
     px = t.marginals_x
     py = t.marginals_y
-    l_factors = u[:, :d] / np.sqrt(px)[:, None]
-    r_factors = vt[:d].T / np.sqrt(py)[:, None]
+    l_factors = u[:, :d]
+    l_factors /= np.sqrt(px)[:, None]
+    r_factors = vt[:d].T
+    r_factors /= np.sqrt(py)[:, None]
     scores = s[:d] ** 2
     total = float(scores.sum())
     ratios = scores / total if total > 0 else np.zeros_like(scores)
@@ -176,9 +197,6 @@ def pics_exact(pmf, x_labels=None, y_labels=None) -> np.ndarray:
     oracle used by every discrete test.
     """
     p = as_matrix(pmf, "pmf")
-    if p.size > MAX_EXACT_CELLS:
-        raise CapacityError(
-            f"joint alphabet of {p.size} cells exceeds the exact-oracle cap {MAX_EXACT_CELLS}"
-        )
+    check_exact_cells(p.size, "joint alphabet")
     t = contingency_from_pmf(p, x_labels, y_labels)
     return ca_decompose(t).sigmas

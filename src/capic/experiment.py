@@ -34,12 +34,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from array import array
 from pathlib import Path
 
 import numpy as np
 
 from . import factor_plane as fp
-from .classical import ContingencyTable, ca_decompose, contingency_from_pmf
+from .classical import ContingencyTable, ca_decompose, check_exact_cells, contingency_from_pmf
 from .datasets import PairedDataset, Split, load_csv
 from .errors import ContractViolationError, CsvParseError
 from .fileio import (
@@ -204,8 +205,12 @@ def build_dataset(dcfg: dict) -> PairedDataset:
 def read_pmf_csv(path):
     """Joint-table CSV: header row carries y labels, first column x labels, none repeated.
 
-    Rows are read one at a time into float64 arrays (``float()`` per
-    cell), so the file's cells are never all held as Python objects.
+    Each row's cells are parsed with ``float()`` into one growing float64
+    buffer, which the returned table views: the file's cells are never
+    all held as Python objects, and the table is never copied.  The row
+    that takes the table over the exact-path cap (``MAX_EXACT_CELLS``)
+    raises :class:`CapacityError` naming its line, so such a file is not
+    read whole.
     """
     with open_input(path, newline="") as fh:
         records = csv_records(fh, path)
@@ -218,21 +223,23 @@ def read_pmf_csv(path):
         if len(set(y_labels)) < len(y_labels):
             repeated = sorted({c for c in y_labels if y_labels.count(c) > 1})
             raise CsvParseError(f"{path}: header repeats y labels {repeated}", line=1)
-        x_lines, table = {}, []  # the line of each x label, in row order
+        width = len(y_labels)
+        x_lines, values = {}, array("d")  # the line of each x label in row order; the cells
         for line, row in records:
-            if len(row) != len(y_labels) + 1:
+            if len(row) != width + 1:
                 raise CsvParseError(f"{path}: row width mismatch", line=line)
             if row[0] in x_lines:
                 raise CsvParseError(
                     f"{path}: x label {row[0]!r} repeats line {x_lines[row[0]]}", line=line)
             x_lines[row[0]] = line
+            check_exact_cells(len(values) + width, f"{path}: the table through line {line}")
             try:
-                table.append(np.fromiter(map(float, row[1:]), np.float64, len(y_labels)))
+                values.fromlist(list(map(float, row[1:])))
             except ValueError:
                 raise CsvParseError(f"{path}: non-numeric table entry", line=line) from None
-    if not table:
+    if not x_lines:
         raise CsvParseError(f"{path}: no table rows", line=1)
-    return np.asarray(table), tuple(x_lines), tuple(y_labels)
+    return np.frombuffer(values).reshape(-1, width), tuple(x_lines), tuple(y_labels)
 
 
 #: Readers of the keys of an ``f_net``/``g_net`` and of the ``train`` block.
@@ -373,40 +380,49 @@ def run_experiment(config, seed=None, out_dir=None) -> Path:
     return out
 
 
-def _run_svd(cfg, out, cfg_hash):
-    blocks = _read(cfg, "", _TOP_KEYS, required=("dataset",))
-    dcfg = blocks["dataset"]
+def _svd_table(dcfg) -> ContingencyTable:
+    """The contingency table that svd mode decomposes, from a ``dataset`` block."""
     if dcfg.get("source") == "pmf_csv":
         path = _read(dcfg, "dataset.", {"path": str}, required=("path",))["path"]
-        table = contingency_from_pmf(*read_pmf_csv(path))
-    elif dcfg.get("source") == "csv":
-        ds = build_dataset(dcfg)
-        if ds.x_kind != "onehot" or ds.y_kind != "onehot":
-            raise ContractViolationError("svd mode needs categorical x and y columns")
-        x, y = ds.train_arrays()
-        for side, labels, rows in (("x", ds.x_labels, x), ("y", ds.y_labels, y)):
-            unseen = [label for label, seen in zip(labels, rows.any(axis=1)) if not seen]
-            if unseen:
-                raise ContractViolationError(
-                    f"{side} labels {unseen} occur only in held-out rows "
-                    f"(test_fraction {ds.provenance['test_fraction']}, "
-                    f"split_seed {ds.provenance['split_seed']})"
-                )
-        counts = x @ y.T  # exact integer counts of the training split's (x, y) label pairs
-        table = ContingencyTable(counts / counts.sum(), ds.x_labels, ds.y_labels)
-    else:
+        return contingency_from_pmf(*read_pmf_csv(path))
+    if dcfg.get("source") != "csv":
         raise ContractViolationError("svd mode supports dataset sources pmf_csv and csv")
+    ds = build_dataset(dcfg)
+    if ds.x_kind != "onehot" or ds.y_kind != "onehot":
+        raise ContractViolationError("svd mode needs categorical x and y columns")
+    x, y = ds.train_arrays()
+    for side, labels, rows in (("x", ds.x_labels, x), ("y", ds.y_labels, y)):
+        unseen = [label for label, seen in zip(labels, rows.any(axis=1)) if not seen]
+        if unseen:
+            raise ContractViolationError(
+                f"{side} labels {unseen} occur only in held-out rows "
+                f"(test_fraction {ds.provenance['test_fraction']}, "
+                f"split_seed {ds.provenance['split_seed']})"
+            )
+    counts = x @ y.T  # exact integer counts of the training split's (x, y) label pairs
+    return ContingencyTable(counts / counts.sum(), ds.x_labels, ds.y_labels)
+
+
+def _run_svd(cfg, out, cfg_hash):
+    """Decompose the config's table; write its factor tables, scores and planes.
+
+    Only the labels and the decomposition are kept past :func:`ca_decompose`.
+    """
+    blocks = _read(cfg, "", _TOP_KEYS, required=("dataset",))
+    table = _svd_table(blocks["dataset"])
     planes = blocks.get("planes", [])
     _check_planes(planes, min(table.table.shape) - 1)
     decomp = ca_decompose(table)
-    _write_factor_table(out / "factors_x.csv", ["label"], "f", table.x_labels, decomp.l_factors)
-    _write_factor_table(out / "factors_y.csv", ["label"], "g", table.y_labels, decomp.r_factors)
+    x_labels, y_labels = table.x_labels, table.y_labels
+    del table  # the normalized table, not kept while the factor tables are formatted
+    _write_factor_table(out / "factors_x.csv", ["label"], "f", x_labels, decomp.l_factors)
+    _write_factor_table(out / "factors_y.csv", ["label"], "g", y_labels, decomp.r_factors)
     rows = zip(range(decomp.d), decomp.sigmas.tolist(), decomp.scores.tolist(),
                decomp.score_ratios.tolist())
     write_text_atomic(
         out / "scores.csv", csv_text(["component", "sigma", "lambda", "score_ratio"], rows)
     )
-    _write_planes(out, decomp, planes, x_labels=table.x_labels, y_labels=table.y_labels)
+    _write_planes(out, decomp, planes, x_labels=x_labels, y_labels=y_labels)
 
 
 def _pic_report(cfg_hash, train_pf, test_pf, **entries):

@@ -11,6 +11,7 @@ from capic.classical import (
     q_matrix,
 )
 from capic.errors import CapacityError, ContractViolationError
+from capic.linalg import svd
 from capic.oracles import BscSpec, bsc_joint_pmf
 
 
@@ -30,6 +31,24 @@ def contingency_from_samples(xs, ys) -> ContingencyTable:
     for x, y in zip(xs, ys):
         counts[x_labels.index(x), y_labels.index(y)] += 1.0
     return ContingencyTable(counts / counts.sum(), x_labels, y_labels)
+
+
+def reference_decomposition(t: ContingencyTable):
+    """``(q, l_factors, r_factors, scores)`` of ``t`` by out-of-place expressions.
+
+    :func:`q_matrix` and :func:`ca_decompose` work in place and must give
+    these bytes.
+    """
+    px, py = t.marginals_x, t.marginals_y
+    expected = np.outer(px, py)
+    q = (t.table - expected) / np.sqrt(expected)
+    u, s, vt = svd(q)
+    d = min(q.shape) - 1
+    return q, u[:, :d] / np.sqrt(px)[:, None], vt[:d].T / np.sqrt(py)[:, None], s[:d] ** 2
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestContingencyFromSamples:
@@ -140,6 +159,37 @@ class TestCaDecompose:
             np.concatenate([[0.8 ** k] * math.comb(5, k) for k in range(1, 6)])
         )[::-1]
         np.testing.assert_allclose(d.sigmas, expected, atol=1e-10)
+
+
+class TestInPlaceArithmetic:
+    @staticmethod
+    def table(kind):
+        if kind == "bsc3":
+            return contingency_from_pmf(bsc_joint_pmf(BscSpec(3, 0.1)))
+        shape = {"square": (6, 6), "tall": (7, 4), "wide": (3, 8), "large": (40, 33),
+                 "dropped row": (6, 5)}[kind]
+        pmf = random_full_support_pmf(np.random.default_rng(23), *shape)
+        if kind != "dropped row":
+            return contingency_from_pmf(pmf)
+        pmf[2] = 0.0
+        with pytest.warns(RuntimeWarning, match="dropping"):
+            return contingency_from_pmf(pmf / pmf.sum())
+
+    @pytest.mark.parametrize("kind", ["square", "tall", "wide", "large", "dropped row", "bsc3"])
+    def test_same_bytes_as_out_of_place(self, kind):
+        t = self.table(kind)
+        q, l_factors, r_factors, scores = reference_decomposition(t)
+        d = ca_decompose(t)
+        assert same_bytes(q_matrix(t), q)
+        assert same_bytes(d.l_factors, l_factors)
+        assert same_bytes(d.r_factors, r_factors)
+        assert same_bytes(d.scores, scores)
+
+    def test_q_matrix_holds_two_tables(self, traced_peak):
+        # the difference and the expected table, plus 64 KiB for the
+        # marginals; an out-of-place quotient holds a third table
+        t = contingency_from_pmf(random_full_support_pmf(np.random.default_rng(5), 512, 512))
+        assert traced_peak(q_matrix, t) <= 2 * t.table.nbytes + 64 * 1024
 
 
 class TestPicsExact:

@@ -6,12 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from capic import experiment, fileio
+from capic import classical, experiment, fileio
 from capic import factor_plane as fp
 from capic.classical import ca_decompose, contingency_from_pmf
 from capic.cli import main
 from capic.datasets import WINE_SCHEMA, synthetic_wine_csv
-from capic.errors import ContractViolationError
+from capic.errors import CapacityError, ContractViolationError
 from capic.experiment import (
     build_dataset, evaluate_model, read_pmf_csv, run_eval, run_experiment,
 )
@@ -23,7 +23,7 @@ from capic.neural import MlpConfig, TrainConfig, train_ca_nn
 from capic.neural import forward as neural_forward
 from capic.reconstitution import classify, from_cann
 
-from test_classical import contingency_from_samples
+from test_classical import contingency_from_samples, random_full_support_pmf, same_bytes
 from test_factor_plane import reference_plane_csv, reference_points, reference_render_svg
 from test_fileio import reference_table_text
 
@@ -508,6 +508,60 @@ class TestBuildDataset:
         expected = np.array([[float(c) for c in row] for row in cells])
         assert table.dtype == np.float64 and table.tobytes() == expected.tobytes()
         assert x_labels == ("r\n1", "s") and y_labels == ("u", "v,w", 'say "z"')
+
+    @staticmethod
+    def write_pmf(path, pmf, x_labels, y_labels):
+        """Write ``pmf`` (lists of floats) as a joint-table CSV, each cell by ``repr``."""
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([["", *y_labels],
+                                      *([x, *map(repr, row)] for x, row in zip(x_labels, pmf))])
+
+    def test_pmf_reader_matches_row_by_row_stacking(self, tmp_path):
+        pmf = random_full_support_pmf(np.random.default_rng(8), 9, 7)
+        x_labels = ["r\n1", 'say "q"', "a,b", *(f"x{i}" for i in range(6))]
+        path = tmp_path / "pmf.csv"
+        self.write_pmf(path, pmf.tolist(), x_labels, [f"y{j}" for j in range(7)])
+        table, labels, _ = read_pmf_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        stacked = np.asarray([np.fromiter(map(float, row[1:]), np.float64, 7) for row in rows])
+        assert same_bytes(table, stacked) and same_bytes(table, pmf)
+        assert labels == tuple(x_labels)
+
+    def test_pmf_reader_holds_one_table(self, tmp_path, traced_peak):
+        # the buffer overallocates by up to 1/16 as it grows, and 256 KiB
+        # is for the labels, the reader's current row and its floats;
+        # stacking separate rows holds two tables
+        pmf = random_full_support_pmf(np.random.default_rng(6), 512, 512)
+        path = tmp_path / "pmf.csv"
+        self.write_pmf(path, pmf.tolist(), range(512), range(512))
+        assert traced_peak(read_pmf_csv, path) <= pmf.nbytes * 17 // 16 + 256 * 1024
+
+    def test_pmf_reader_stops_at_the_row_over_the_exact_cap(self, tmp_path, monkeypatch):
+        # the fourth row starts on line 6 and takes the table to 12 cells;
+        # the entry that float rejects on that row is never parsed
+        monkeypatch.setattr(classical, "MAX_EXACT_CELLS", 9)
+        path = tmp_path / "big.csv"
+        path.write_text(',a,b,c\nr,0.1,0.1,0.1\n"s\n1",0.1,0.1,0.1\nt,0.1,0.1,0.1\nu,0.1,0.1,x\n')
+        over = "has 12 cells, over the exact-oracle cap 9"
+        with pytest.raises(CapacityError, match=f"the table through line 6 {over}$"):
+            read_pmf_csv(path)
+        with pytest.raises(CapacityError, match=f"joint alphabet {over}$"):
+            classical.pics_exact(np.full((4, 3), 1 / 12))
+
+    @pytest.mark.parametrize("cap,fits", [(11, False), (12, True)])
+    def test_svd_mode_honours_the_exact_cap(self, tmp_path, monkeypatch, cap, fits):
+        monkeypatch.setattr(classical, "MAX_EXACT_CELLS", cap)
+        path = tmp_path / "pmf.csv"
+        self.write_pmf(path, np.full((4, 3), 1 / 12).tolist(), "rstu", "abc")
+        cfg = {"version": 1, "mode": "svd", "dataset": {"source": "pmf_csv", "path": str(path)}}
+        if fits:
+            out = run_experiment(cfg, out_dir=tmp_path / "out")
+            assert len((out / "scores.csv").read_text().splitlines()) == 3
+        else:
+            with pytest.raises(CapacityError):
+                run_experiment(cfg, out_dir=tmp_path / "out")
+            assert not list((tmp_path / "out").glob("factors_*"))
 
 
 @pytest.fixture(scope="module")

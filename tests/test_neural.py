@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -428,7 +427,7 @@ class TestEncode:
         with pytest.raises(ContractViolationError, match="input width"):
             encode(p, np.zeros((3, 2 * BLOCK)), None)
 
-    def test_memory_beyond_the_output_does_not_grow_with_n(self):
+    def test_memory_beyond_the_output_does_not_grow_with_n(self, traced_peak):
         # The traced peak at 16 blocks may exceed that at 4 blocks by the
         # larger output (d * 12 blocks of float64) and 16 KiB of slack; a
         # single pass would add each hidden layer's 12 blocks as well.
@@ -436,12 +435,7 @@ class TestEncode:
         peaks = []
         for n in (4 * BLOCK, 16 * BLOCK):
             a = np.random.default_rng(n).normal(size=(4, n))
-            tracemalloc.start()
-            try:
-                encode(p, a, None)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(encode, p, a, None))
         assert peaks[1] - peaks[0] <= 3 * 12 * BLOCK * 8 + 16 * 1024
 
 
