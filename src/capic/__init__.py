@@ -19,7 +19,7 @@ from .classical import (
     pics_exact,
     q_matrix,
 )
-from .datasets import PairedDataset, Split, load_csv, one_hot_encode, synthetic_wine_csv
+from .datasets import PairedDataset, load_csv, one_hot_encode, synthetic_wine_csv
 from .errors import CaError
 from .factor_plane import FactorPlane, export_factor_plane, interpolate_path, plane_to_csv
 from .linalg import SvdResult, eig_sym, inv_sqrt_psd, svd

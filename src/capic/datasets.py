@@ -4,6 +4,16 @@ A :class:`PairedDataset` stores the two views as feature-by-sample
 matrices.  Categorical columns are one-hot encoded with lexicographic
 label order so every run of the same input produces the same layout.
 
+Split-major layout: a dataset holds each sample once, the training
+columns first, then the test columns, each in source row order.  The
+split is one integer, ``n_train``, and the split arrays are views.  The
+memory layout decides bits (numpy sums pairwise only along a contiguous
+axis, which sets the standardization statistics, and OpenBLAS can give
+a product's last columns other bits in the other layout), so
+:func:`load_csv` gives a continuous side the layout of its split arrays
+when they were gathered from the file-order matrix: sample-contiguous
+(F-ordered) with a split, feature-contiguous (C-ordered) without.
+
 Repeated columns: CA depends on the data only through the empirical
 joint distribution of (X, Y), so a discrete split matters only through
 its distinct x and y columns and their counts (32 of each in 15000
@@ -32,9 +42,9 @@ float32 too, so one set of codes serves the float32 training step and
 the float64 passes.  Two columns that differ in float64 but collide in
 float32 keep two codes, which costs a step a column, not exactness (as
 do 0.0 and -0.0, whose bytes differ).  Nothing in capic changes a
-dataset once it is built (a test split is attached with
-:func:`dataclasses.replace`), so the split arrays and codes found on
-first use stay those of its arrays.
+dataset once it is built (a synthetic source's ``n_train`` is set with
+:func:`dataclasses.replace`), so the codes found on first use stay
+those of its arrays.
 """
 
 from __future__ import annotations
@@ -56,12 +66,6 @@ from .fileio import csv_records, csv_text, open_input, write_text_atomic
 from .linalg import distinct_rows
 
 ROLES = ("x-continuous", "x-categorical", "y-continuous", "y-categorical", "ignore")
-
-
-@dataclass
-class Split:
-    train_idx: np.ndarray
-    test_idx: np.ndarray
 
 
 class ColumnCodes(NamedTuple):
@@ -95,8 +99,10 @@ class PairedDataset:
 
     ``x_kind`` / ``y_kind`` are ``"continuous"`` or ``"onehot"``; for
     one-hot sides the category labels are kept in ``x_labels`` /
-    ``y_labels`` in row order.  ``provenance`` records how the data was
-    made (source descriptor, seeds, auxiliary arrays).
+    ``y_labels`` in row order.  The first ``n_train`` columns train and
+    the rest are held out; None means no split, and every column
+    trains.  ``provenance`` records how the data was made (source
+    descriptor, seeds, auxiliary arrays).
     """
 
     x: np.ndarray
@@ -105,7 +111,7 @@ class PairedDataset:
     y_kind: str = "continuous"
     x_labels: tuple | None = None
     y_labels: tuple | None = None
-    split: Split | None = None
+    n_train: int | None = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -129,37 +135,22 @@ class PairedDataset:
                 colsum = mat.sum(axis=0)
                 if mat.shape[1] and not np.allclose(colsum, 1.0, atol=1e-9):
                     raise ContractViolationError(f"{name} one-hot columns must sum to 1")
-        if self.split is not None:
-            both = np.concatenate([self.split.train_idx, self.split.test_idx])
-            if both.size and (both.min() < 0 or both.max() >= self.n):
-                raise ContractViolationError("split indices out of range")
+        if self.n_train is not None and not 0 <= self.n_train <= self.n:
+            raise ContractViolationError(f"n_train {self.n_train} not in [0, {self.n}]")
 
     @property
     def n(self) -> int:
         return self.x.shape[1]
 
     def train_arrays(self):
-        """The training split's ``(x, y)``: every sample without a split.
-
-        Gathered on first use and shared by every later call.
-        """
-        return self._train_arrays
+        """The training split's ``(x, y)``: views of the first ``n_train`` columns, or all."""
+        return self.x[:, :self.n_train], self.y[:, :self.n_train]
 
     def test_arrays(self):
-        """The test split's ``(x, y)``, or None; gathered once, like :meth:`train_arrays`."""
-        return self._test_arrays
-
-    @cached_property
-    def _train_arrays(self) -> tuple:
-        if self.split is None:
-            return self.x, self.y
-        return self.x[:, self.split.train_idx], self.y[:, self.split.train_idx]
-
-    @cached_property
-    def _test_arrays(self) -> tuple | None:
-        if self.split is None or self.split.test_idx.size == 0:
+        """The test split's ``(x, y)``: views of the columns after ``n_train``, or None."""
+        if self.n_train in (None, self.n):
             return None
-        return self.x[:, self.split.test_idx], self.y[:, self.split.test_idx]
+        return self.x[:, self.n_train:], self.y[:, self.n_train:]
 
     @cached_property
     def train_codes(self) -> tuple:
@@ -197,11 +188,13 @@ def apply_standardization(stats, mat):
         raise ContractViolationError(
             f"feature count {mat.shape[0]} does not match stored statistics ({mean.size})"
         )
-    return (mat - mean[:, None]) / std[:, None]
+    out = mat - mean[:, None]
+    out /= std[:, None]
+    return out
 
 
 def make_split(n, test_fraction, seed):
-    """Deterministic shuffled train/test split of ``range(n)``.
+    """Deterministic shuffled ``(train_rows, test_rows)`` of ``range(n)``, each sorted.
 
     A split that would leave no training row raises
     :class:`EmptyDatasetError`.
@@ -214,7 +207,7 @@ def make_split(n, test_fraction, seed):
             f"test_fraction {test_fraction} of {n} rows leaves no training rows"
         )
     order = np.random.default_rng(seed).permutation(n)
-    return Split(train_idx=np.sort(order[n_test:]), test_idx=np.sort(order[:n_test]))
+    return np.sort(order[n_test:]), np.sort(order[:n_test])
 
 
 def _side_columns(header, schema, prefix):
@@ -239,10 +232,12 @@ def load_csv(path, schema, standardize=False, test_fraction=0.0, split_seed=0):
     ``schema`` maps every header name to one of ``x-continuous``,
     ``x-categorical``, ``y-continuous``, ``y-categorical`` or
     ``ignore``.  Each side is either continuous columns or a single
-    categorical column, one-hot encoded in lexicographic label order.  With ``standardize=True`` each
-    continuous row is shifted/scaled to zero mean and unit variance
-    using statistics of the training split only.  Errors in a row name
-    the physical line the row starts on (a quoted cell may hold newlines).
+    categorical column, one-hot encoded in lexicographic label order.
+    The rows of a ``test_fraction`` split are laid out split-major.
+    With ``standardize=True`` each continuous row is shifted/scaled to
+    zero mean and unit variance using statistics of the training split
+    only.  Errors in a row name the physical line the row starts on (a
+    quoted cell may hold newlines).
     """
     for col, role in schema.items():
         if role not in ROLES:
@@ -286,23 +281,27 @@ def load_csv(path, schema, standardize=False, test_fraction=0.0, split_seed=0):
             n_rows += 1
     if n_rows == 0:
         raise EmptyDatasetError(f"{path}: no data rows")
-    table = np.frombuffer(values).reshape(n_rows, len(numeric)).T
-    split = make_split(n_rows, test_fraction, split_seed) if test_fraction > 0 else None
-    train = split.train_idx if split is not None else np.arange(n_rows)
+    buf = np.frombuffer(values).reshape(n_rows, len(numeric))
+    n_train = None
+    order = np.arange(n_rows)  # the file's rows in the dataset's column order
+    if test_fraction > 0:
+        train_rows, test_rows = make_split(n_rows, test_fraction, split_seed)
+        n_train, order = train_rows.size, np.concatenate([train_rows, test_rows])
     built, stats = {}, {}
     for p, (cols, kind) in sides.items():
         if kind == "onehot":
-            built[p] = one_hot_encode(texts[p][1])
+            cells = texts[p][1]
+            built[p] = one_hot_encode([cells[i] for i in order.tolist()])
             continue
-        mat = np.ascontiguousarray(table[[header[i] in cols for i in numeric]])
+        mat = buf[np.ix_(order, [header[i] in cols for i in numeric])].T  # sample-contiguous
         if standardize:
-            rows = mat[:, train]
-            std = rows.std(axis=1)
-            stats[p] = {"mean": rows.mean(axis=1).tolist(),
+            train = mat[:, :n_train]
+            std = train.std(axis=1)
+            stats[p] = {"mean": train.mean(axis=1).tolist(),
                         "std": np.where(std > 0, std, 1.0).tolist()}
-            del rows  # a copy of the training columns, not kept through the standardization
+            del train  # a view: it would keep the unstandardized gather alive
             mat = apply_standardization(stats[p], mat)
-        built[p] = mat, None
+        built[p] = (np.ascontiguousarray(mat) if n_train is None else mat), None
     provenance = {"source": "csv", "path": str(path), "x_columns": sides["x"][0],
                   "y_columns": sides["y"][0], "standardize": bool(standardize),
                   "test_fraction": test_fraction, "split_seed": split_seed}
@@ -311,7 +310,7 @@ def load_csv(path, schema, standardize=False, test_fraction=0.0, split_seed=0):
     (x, x_labels), (y, y_labels) = built["x"], built["y"]
     return PairedDataset(
         x=x, y=y, x_kind=sides["x"][1], y_kind=sides["y"][1],
-        x_labels=x_labels, y_labels=y_labels, split=split, provenance=provenance,
+        x_labels=x_labels, y_labels=y_labels, n_train=n_train, provenance=provenance,
     )
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import factor_plane as fp
 from .classical import ContingencyTable, ca_decompose, check_exact_cells, contingency_from_pmf
-from .datasets import PairedDataset, Split, load_csv
+from .datasets import PairedDataset, load_csv
 from .errors import ContractViolationError, CsvParseError
 from .fileio import (
     csv_records, csv_text, open_input, read_json_object, sha256_of_json,
@@ -193,13 +193,8 @@ def build_dataset(dcfg: dict) -> PairedDataset:
         required=("n_samples", *required),
     )
     n_train, n_test, seed = (values.pop(key, 0) for key in ("n_samples", "n_test", "seed"))
-    n = n_train + n_test
-    ds = draw(values, n, seed)
-    if n_test > 0:
-        ds = dataclasses.replace(
-            ds, split=Split(train_idx=np.arange(n_train), test_idx=np.arange(n_train, n))
-        )
-    return ds
+    ds = draw(values, n_train + n_test, seed)
+    return dataclasses.replace(ds, n_train=n_train) if n_test > 0 else ds
 
 
 def read_pmf_csv(path):
@@ -390,6 +385,8 @@ def _svd_table(dcfg) -> ContingencyTable:
     ds = build_dataset(dcfg)
     if ds.x_kind != "onehot" or ds.y_kind != "onehot":
         raise ContractViolationError("svd mode needs categorical x and y columns")
+    check_exact_cells(len(ds.x_labels) * len(ds.y_labels),
+                      f"{ds.provenance['path']}: the x-by-y label table")
     x, y = ds.train_arrays()
     for side, labels, rows in (("x", ds.x_labels, x), ("y", ds.y_labels, y)):
         unseen = [label for label, seen in zip(labels, rows.any(axis=1)) if not seen]

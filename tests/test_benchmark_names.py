@@ -1,8 +1,11 @@
-"""The benchmark's per-layer call counters and imports name capic objects that exist.
+"""The benchmark's per-layer call counters and imports name capic objects that exist,
+and every benchmark workload runs and checks at toy size.
 
 The benchmark tracer looks each ``<layer>.<fn>.calls`` function up with
 ``getattr`` on ``capic.<layer>``, and the benchmark's modules import
 names from capic, so renaming or deleting one breaks every benchmark run.
+The workloads also read dataset attributes and call capic functions
+that no import names, so each one runs here once, end to end.
 """
 
 import ast
@@ -10,8 +13,11 @@ import importlib
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = ROOT / "BENCHMARK.json"
+WORKLOADS = [w["name"] for w in json.loads(BENCHMARK.read_text())["workloads"]]
 
 
 def test_every_traced_function_resolves():
@@ -39,3 +45,11 @@ def test_every_name_the_benchmark_imports_resolves():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_every_workload_runs_and_checks_at_toy_size(tmp_path, monkeypatch, name):
+    monkeypatch.syspath_prepend(str(ROOT))  # as the benchmark's runner imports its workloads
+    workload = importlib.import_module("capbench.workloads").TOY[name]
+    inputs = workload.setup(1, tmp_path)
+    workload.check(inputs, workload.operate(inputs))

@@ -16,6 +16,7 @@ from capic.datasets import (
 )
 from capic.errors import ContractViolationError, CsvParseError, EmptyDatasetError
 from capic.linalg import distinct_rows
+from capic.neural import MlpConfig, encode, mlp_init
 
 TOY_CSV = """color,grade,size
 red,good,1.5
@@ -135,8 +136,9 @@ class TestLoadCsv:
         stats = ds.provenance["standardization"]["x"]
         assert len(stats["mean"]) == 1
         # and are numpy's statistics of the training rows, bit for bit
+        train_rows, _ = make_split(50, 0.2, 7)
         raw = np.array([[float(v) for v in line.split(",")[:1]]
-                        for line in rows.splitlines()]).T[:, ds.split.train_idx]
+                        for line in rows.splitlines()]).T[:, train_rows]
         assert stats == {"mean": raw.mean(axis=1).tolist(), "std": raw.std(axis=1).tolist()}
 
 
@@ -181,11 +183,10 @@ class TestOneHot:
 
 class TestSplit:
     def test_deterministic(self):
-        a = make_split(100, 0.2, seed=3)
-        b = make_split(100, 0.2, seed=3)
-        assert np.array_equal(a.train_idx, b.train_idx)
-        assert a.test_idx.size == 20
-        assert np.intersect1d(a.train_idx, a.test_idx).size == 0
+        (a_train, a_test), (b_train, b_test) = make_split(100, 0.2, 3), make_split(100, 0.2, 3)
+        assert np.array_equal(a_train, b_train) and np.array_equal(a_test, b_test)
+        assert a_test.size == 20
+        assert np.intersect1d(a_train, a_test).size == 0
 
     def test_split_leaving_no_training_rows_rejected(self, tmp_path):
         # round(2 * 0.75) = 2 rows held out of 2; standardizing on no
@@ -203,6 +204,96 @@ class TestStandardizationHelper:
         stats = {"mean": [1.0, -2.0], "std": [2.0, 0.5]}
         out = apply_standardization(stats, np.array([[3.0], [-1.0]]))
         np.testing.assert_allclose(out, [[1.0], [2.0]])
+
+    @staticmethod
+    def _stats_with_a_constant_row():
+        mat = np.random.default_rng(8).normal(3.0, 2.0, size=(3, 5000))
+        mat[1] = 2.5  # std 0, replaced by 1 as load_csv does
+        std = mat.std(axis=1)
+        return mat, {"mean": mat.mean(axis=1).tolist(), "std": np.where(std > 0, std, 1.0).tolist()}
+
+    def test_apply_gives_the_bytes_of_shift_then_scale(self):
+        mat, stats = self._stats_with_a_constant_row()
+        assert stats["std"][1] == 1.0
+        mean, std = np.array(stats["mean"])[:, None], np.array(stats["std"])[:, None]
+        for layout in (mat, np.asfortranarray(mat)):
+            assert apply_standardization(stats, layout).tobytes() == ((mat - mean) / std).tobytes()
+
+    def test_apply_allocates_one_output(self, traced_peak):
+        mat, stats = self._stats_with_a_constant_row()
+        assert traced_peak(apply_standardization, stats, mat) <= mat.nbytes + 4096
+
+
+class TestSplitMajorLayout:
+    """A csv dataset holds each side once, training columns first.
+
+    The reference is the layout the split-major one replaced: each side
+    in file order, standardized with the statistics of the gathered
+    training columns, and each split gathered with ``[:, rows]``.
+    """
+
+    N = 400
+
+    @classmethod
+    def _write(cls, tmp_path):
+        rng = np.random.default_rng(11)
+        labels = ["a,b", 'q"x', "line\nbreak", "plain"]
+        rows = [[repr(v), repr(w), "2.5", labels[k]]
+                for v, w, k in zip(rng.normal(3.0, 2.0, cls.N).tolist(),
+                                   rng.exponential(1.0, cls.N).tolist(),
+                                   rng.integers(0, len(labels), cls.N))]
+        path = tmp_path / "mixed.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([["a", "b", "c", "y"], *rows])
+        schema = {"a": "x-continuous", "b": "x-continuous", "c": "x-continuous",
+                  "y": "y-categorical"}
+        return path, schema, rows
+
+    @classmethod
+    def _reference(cls, rows, standardize, test_fraction):
+        """``(split arrays, labels)``: each split's ``(x, y)`` as gathered from file order."""
+        x = np.ascontiguousarray(np.array([[float(c) for c in r[:3]] for r in rows]).T)
+        y, labels = one_hot_encode([r[3] for r in rows])
+        split_rows = make_split(cls.N, test_fraction, 3) if test_fraction else [np.arange(cls.N)]
+        if standardize:
+            gathered = x[:, split_rows[0]]  # the statistics reduce over the gathered columns
+            std = gathered.std(axis=1)
+            x = (x - gathered.mean(axis=1)[:, None]) / np.where(std > 0, std, 1.0)[:, None]
+        if not test_fraction:
+            return [(x, y)], labels  # an unsplit dataset trains on its file-order matrices
+        return [(x[:, r], y[:, r]) for r in split_rows], labels
+
+    @pytest.mark.parametrize("test_fraction", [0.0, 0.25])
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_split_arrays_keep_the_gathered_bytes(self, tmp_path, traced_peak, standardize,
+                                                  test_fraction):
+        path, schema, rows = self._write(tmp_path)
+        ds = load_csv(path, schema, standardize=standardize, test_fraction=test_fraction,
+                      split_seed=3)
+        reference, labels = self._reference(rows, standardize, test_fraction)
+        assert ds.y_labels == labels
+        if test_fraction:
+            assert ds.n_train == reference[0][0].shape[1] and ds.x.flags.f_contiguous
+            splits = [ds.train_arrays(), ds.test_arrays()]
+        else:
+            assert ds.n_train is None and ds.test_arrays() is None and ds.x.flags.c_contiguous
+            splits = [ds.train_arrays()]
+        for (x_split, y_split), (x_ref, y_ref) in zip(splits, reference, strict=True):
+            assert x_split.tobytes() == x_ref.tobytes() and y_split.tobytes() == y_ref.tobytes()
+            assert x_split.strides == x_ref.strides
+            assert np.shares_memory(x_split, ds.x) and np.shares_memory(y_split, ds.y)
+        assert traced_peak(ds.train_arrays) < 1024  # array headers, no column copied
+
+    @pytest.mark.parametrize("test_fraction", [0.0, 0.25])
+    def test_encode_over_a_view_gives_the_gathered_bytes(self, tmp_path, test_fraction):
+        path, schema, rows = self._write(tmp_path)
+        ds = load_csv(path, schema, standardize=True, test_fraction=test_fraction, split_seed=3)
+        reference, _ = self._reference(rows, True, test_fraction)
+        f = mlp_init(MlpConfig((3, 16, 2), "relu", 1))
+        g = mlp_init(MlpConfig((len(ds.y_labels), 16, 2), "relu", 2))
+        for arrays, (x_ref, y_ref) in zip((ds.train_arrays(), ds.test_arrays()), reference):
+            assert encode(f, arrays[0], None).tobytes() == encode(f, x_ref, None).tobytes()
+            assert encode(g, arrays[1], None).tobytes() == encode(g, y_ref, None).tobytes()
 
 
 class TestSyntheticWine:
@@ -247,11 +338,20 @@ class TestColumnCodesAndSplitArrays:
         first, inverse = distinct_rows(bits.T)
         assert np.array_equal(codes.first, first) and np.array_equal(codes.inverse, inverse)
 
-    def test_split_arrays_are_gathered_once(self):
+    def test_split_arrays_are_views_of_the_split_major_columns(self, traced_peak):
         rng = np.random.default_rng(5)
-        ds = PairedDataset(x=rng.normal(size=(2, 40)), y=rng.normal(size=(1, 40)),
-                           split=make_split(40, 0.25, 1))
-        train, test = ds.train_arrays(), ds.test_arrays()
-        assert ds.train_arrays() is train and ds.test_arrays() is test
-        assert np.array_equal(train[0], ds.x[:, ds.split.train_idx])
-        assert np.array_equal(test[1], ds.y[:, ds.split.test_idx])
+        ds = PairedDataset(x=rng.normal(size=(2, 400)), y=rng.normal(size=(1, 400)), n_train=300)
+        (x_train, y_train), (x_test, y_test) = ds.train_arrays(), ds.test_arrays()
+        assert np.array_equal(x_train, ds.x[:, :300]) and np.array_equal(y_test, ds.y[:, 300:])
+        for view, whole in ((x_train, ds.x), (y_train, ds.y), (x_test, ds.x), (y_test, ds.y)):
+            assert view.base is whole
+        assert traced_peak(ds.train_arrays) < 1024  # array headers, no column copied
+        assert PairedDataset(x=ds.x, y=ds.y, n_train=400).test_arrays() is None
+        unsplit = PairedDataset(x=ds.x, y=ds.y)
+        assert unsplit.test_arrays() is None
+        assert all(a.base is b for a, b in zip(unsplit.train_arrays(), (ds.x, ds.y)))
+
+    @pytest.mark.parametrize("n_train", [-1, 401])
+    def test_n_train_beyond_the_samples_rejected(self, n_train):
+        with pytest.raises(ContractViolationError, match=f"n_train {n_train} not in"):
+            PairedDataset(x=np.zeros((1, 400)), y=np.zeros((1, 400)), n_train=n_train)

@@ -10,7 +10,7 @@ from capic import classical, experiment, fileio
 from capic import factor_plane as fp
 from capic.classical import ca_decompose, contingency_from_pmf
 from capic.cli import main
-from capic.datasets import WINE_SCHEMA, synthetic_wine_csv
+from capic.datasets import WINE_SCHEMA, make_split, synthetic_wine_csv
 from capic.errors import CapacityError, ContractViolationError
 from capic.experiment import (
     build_dataset, evaluate_model, read_pmf_csv, run_eval, run_experiment,
@@ -164,8 +164,8 @@ class TestRunExperiment:
         ys = [x if rng.random() < 0.6 else rng.choice(["a", "b", "z"]) for x in xs]
         cfg = self._categorical_csv_config(tmp_path, xs, ys, 0.5)
         out = run_experiment(cfg)
-        train = build_dataset(cfg["dataset"]).split.train_idx
-        assert train.size == 200
+        train, _ = make_split(len(xs), 0.5, 5)
+        assert build_dataset(cfg["dataset"]).n_train == train.size == 200
         table = contingency_from_samples([xs[i] for i in train], [ys[i] for i in train])
         decomp = ca_decompose(table)
         for side, letter, labels, factors in (("x", "f", table.x_labels, decomp.l_factors),
@@ -177,8 +177,7 @@ class TestRunExperiment:
 
     def test_svd_label_seen_only_in_held_out_rows_exits_2(self, tmp_path, capsys):
         xs, ys = ["a", "b"] * 50, ["a", "b"] * 50
-        cfg = self._categorical_csv_config(tmp_path, xs, ys, 0.5)
-        xs[int(build_dataset(cfg["dataset"]).split.test_idx[0])] = "only-held-out"
+        xs[int(make_split(len(xs), 0.5, 5)[1][0])] = "only-held-out"
         cfg = self._categorical_csv_config(tmp_path, xs, ys, 0.5)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(dump_json(cfg))
@@ -453,8 +452,9 @@ class TestBuildDataset:
             {"source": "bsc", "n_bits": 2, "delta": 0.2, "n_samples": 50,
              "n_test": 10, "seed": 1}
         )
-        assert ds.split.train_idx.size == 50
-        assert ds.split.test_idx.size == 10
+        assert ds.n_train == 50
+        assert ds.train_arrays()[0].shape[1] == 50
+        assert ds.test_arrays()[0].shape[1] == 10
 
     def test_gaussian_and_multimodal(self):
         g = build_dataset(
@@ -563,6 +563,24 @@ class TestBuildDataset:
                 run_experiment(cfg, out_dir=tmp_path / "out")
             assert not list((tmp_path / "out").glob("factors_*"))
 
+    @pytest.mark.parametrize("cap,fits", [(11, False), (12, True)])
+    def test_svd_mode_on_a_categorical_csv_honours_the_exact_cap(self, tmp_path, monkeypatch,
+                                                                  cap, fits):
+        monkeypatch.setattr(classical, "MAX_EXACT_CELLS", cap)
+        path = tmp_path / "pairs.csv"
+        pairs = [(x, y) for x in "rstu" for y in "abc"]  # 4 x labels, 3 y labels
+        fileio.write_text_atomic(path, fileio.csv_text(["x", "y"], pairs))
+        cfg = {"version": 1, "mode": "svd",
+               "dataset": {"source": "csv", "path": str(path),
+                           "schema": {"x": "x-categorical", "y": "y-categorical"}}}
+        if fits:
+            out = run_experiment(cfg, out_dir=tmp_path / "out")
+            assert len((out / "scores.csv").read_text().splitlines()) == 3
+        else:
+            with pytest.raises(CapacityError, match="x-by-y label table has 12 cells"):
+                run_experiment(cfg, out_dir=tmp_path / "out")
+            assert not list((tmp_path / "out").glob("factors_*"))
+
 
 @pytest.fixture(scope="module")
 def wine_plane(tmp_path_factory):
@@ -627,13 +645,13 @@ class TestCli:
         cfg_path.write_text(dump_json(cfg))
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
         data = build_dataset(cfg["dataset"])
-        for split, idx in (("train", data.split.train_idx), ("test", data.split.test_idx)):
+        for split, size in (("train", data.n_train), ("test", data.n - data.n_train)):
             with open(tmp_path / "run" / f"factors_y_{split}.csv", newline="") as fh:
                 rows = list(csv.DictReader(fh))
             assert [row["label"] for row in rows] == [str(l) for l in data.y_labels]
-            assert sum(int(row["count"]) for row in rows) == idx.size
+            assert sum(int(row["count"]) for row in rows) == size
             lines = (tmp_path / "run" / f"factors_x_{split}.csv").read_text().splitlines()
-            assert len(lines) == 1 + idx.size
+            assert len(lines) == 1 + size
 
     def test_plane_of_categorical_y_has_one_y_point_per_label(self, wine_plane):
         data, _, plane = wine_plane
