@@ -97,12 +97,13 @@ def column_codes(a) -> ColumnCodes | None:
 class PairedDataset:
     """Paired samples of two variables, columns are samples.
 
-    ``x_kind`` / ``y_kind`` are ``"continuous"`` or ``"onehot"``; for
-    one-hot sides the category labels are kept in ``x_labels`` /
-    ``y_labels`` in row order.  The first ``n_train`` columns train and
-    the rest are held out; None means no split, and every column
-    trains.  ``provenance`` records how the data was made (source
-    descriptor, seeds, auxiliary arrays).
+    ``x_kind`` / ``y_kind`` are ``"continuous"`` or ``"onehot"`` (each
+    column one 1 among 0s, its category's row); for one-hot sides the
+    category labels are kept in ``x_labels`` / ``y_labels`` in row
+    order.  The first ``n_train`` columns train and the rest are held
+    out; None means no split, and every column trains.  ``provenance``
+    records how the data was made (source descriptor, seeds, auxiliary
+    arrays).
     """
 
     x: np.ndarray
@@ -132,9 +133,8 @@ class PairedDataset:
             if kind == "onehot":
                 if labels is None or len(labels) != mat.shape[0]:
                     raise ContractViolationError(f"{name} one-hot block needs labels per row")
-                colsum = mat.sum(axis=0)
-                if mat.shape[1] and not np.allclose(colsum, 1.0, atol=1e-9):
-                    raise ContractViolationError(f"{name} one-hot columns must sum to 1")
+                if not (((mat == 0) | (mat == 1)).all() and (mat.sum(axis=0) == 1).all()):
+                    raise ContractViolationError(f"{name} one-hot columns must be one 1 and 0s")
         if self.n_train is not None and not 0 <= self.n_train <= self.n:
             raise ContractViolationError(f"n_train {self.n_train} not in [0, {self.n}]")
 

@@ -277,22 +277,22 @@ def evaluate_model(model: CaNnModel, data: PairedDataset):
 
 
 def _side_values(params, rows, kind, labels, codes, arrays):
-    """``(labels, counts, points)``: one side of a split once per distinct value.
+    """``(labels, counts, points)``: one side of a split as a point set, points k x d.
 
     ``rows`` (d x n) are the side's principal-function values and
     ``arrays`` its columns.  A one-hot side gives one point per label, in
     label order: the net's output on the label's column (a count may be
     0).  Another coded side gives one point per code, ``rows[:, codes.first]``,
-    labelled by its column's values.  Points are d x k.  A side without
-    codes and not one-hot gives None: it is written per sample.
+    labelled by its column's values.  Any other side gives a point per
+    sample, ``(None, None, rows.T)``: numbered, not counted.
     """
     if kind == "onehot":
         counts = np.bincount(arrays.argmax(axis=0), minlength=len(labels))
-        return list(labels), counts, forward(params, np.eye(len(labels)))[0]
+        return list(labels), counts, forward(params, np.eye(len(labels)))[0].T
     if codes is None:
-        return None
+        return None, None, rows.T
     labels = [" ".join(map(repr, column)) for column in arrays[:, codes.first].T.tolist()]
-    return labels, np.bincount(codes.inverse), rows[:, codes.first]
+    return labels, np.bincount(codes.inverse), rows[:, codes.first].T
 
 
 def _split_values(model: CaNnModel, data: PairedDataset, pf, test=False):
@@ -315,18 +315,23 @@ def _check_planes(planes, d):
         raise ContractViolationError(f"config planes: axis {wide[0]} out of range for d={d}")
 
 
-def _write_planes(out, source, planes, values=(None, None), **export_kw):
+def _write_planes(out, planes, x_values, y_values, weights, ratios):
     """Export each ``(i, j)`` of ``planes`` and write ``plane_{i}_{j}.svg`` and ``.csv``.
 
-    A side with :func:`_side_values` is drawn once per distinct value.
+    The sides are :func:`_side_values` (points k x d); ``weights`` and
+    ``ratios`` go to :func:`capic.factor_plane.export_factor_plane`.
     """
-    for side, side_values in zip("xy", values):
-        if side_values is not None:
-            export_kw[f"{side}_labels"], _, export_kw[f"{side}_points"] = side_values
+    sides = [(labels, points) for labels, _, points in (x_values, y_values)]
     for i, j in planes:
-        plane, svg = fp.export_factor_plane(source, i, j, **export_kw)
+        plane, svg = fp.export_factor_plane(i, j, *sides, weights, ratios)
         write_text_atomic(out / f"plane_{i}_{j}.svg", svg)
         write_text_atomic(out / f"plane_{i}_{j}.csv", fp.plane_to_csv(plane))
+
+
+def _write_model_planes(out, planes, train_pf, train_values):
+    """:func:`_write_planes` of a model's training split, weighted by its component correlations."""
+    diag = train_pf.pic_diagonal
+    _write_planes(out, planes, *train_values, diag, fp.inertia_shares(diag))
 
 
 def _write_factor_table(path, names, letter, *columns):
@@ -339,17 +344,19 @@ def _write_factor_table(path, names, letter, *columns):
     write_text_atomic(path, csv_text(header, zip(*columns, strict=True)))
 
 
-def _write_factor_tables(out, prefix, pf, values):
-    """``factors_{x,y}_{prefix}.csv``: one row per value of a side with values, else per sample."""
-    samples = range(pf.f.shape[1])
-    for side, first, letter, rows, side_values in (("x", "index", "f", pf.f, values[0]),
-                                                    ("y", "label", "g", pf.g, values[1])):
+def _write_factor_tables(out, prefix, values):
+    """``factors_{x,y}_{prefix}.csv``: one row per point of each side's :func:`_side_values`.
+
+    A counted side's rows carry their label and count; a per-sample
+    side's their number, headed ``index`` on x and ``label`` on y.
+    """
+    for side, first, letter, (labels, counts, points) in zip("xy", ("index", "label"), "fg",
+                                                             values):
         path = out / f"factors_{side}_{prefix}.csv"
-        if side_values is None:
-            _write_factor_table(path, [first], letter, samples, rows.T)
+        if counts is None:
+            _write_factor_table(path, [first], letter, range(len(points)), points)
         else:
-            labels, counts, points = side_values
-            _write_factor_table(path, ["label", "count"], letter, labels, counts, points.T)
+            _write_factor_table(path, ["label", "count"], letter, labels, counts, points)
 
 
 def run_experiment(config, seed=None, out_dir=None) -> Path:
@@ -419,7 +426,8 @@ def _run_svd(cfg, out, cfg_hash):
     write_text_atomic(
         out / "scores.csv", csv_text(["component", "sigma", "lambda", "score_ratio"], rows)
     )
-    _write_planes(out, decomp, planes, x_labels=x_labels, y_labels=y_labels)
+    _write_planes(out, planes, (x_labels, None, decomp.l_factors),
+                  (y_labels, None, decomp.r_factors), decomp.sigmas, decomp.score_ratios)
 
 
 def _pic_report(cfg_hash, train_pf, test_pf, **entries):
@@ -464,10 +472,10 @@ def _run_train(cfg, out, cfg_hash):
     )
 
     train_values = _split_values(model, data, train_pf)
-    _write_factor_tables(out, "train", train_pf, train_values)
+    _write_factor_tables(out, "train", train_values)
     if test_pf is not None:
-        _write_factor_tables(out, "test", test_pf, _split_values(model, data, test_pf, test=True))
-    _write_planes(out, train_pf, planes, train_values)
+        _write_factor_tables(out, "test", _split_values(model, data, test_pf, test=True))
+    _write_model_planes(out, planes, train_pf, train_values)
 
 
 def _evaluate_saved(model_path, config, seed, out_dir):
@@ -475,6 +483,14 @@ def _evaluate_saved(model_path, config, seed, out_dir):
     cfg, out = _prepare(config, seed, out_dir)
     model = load_model(model_path)
     data = build_dataset(_read(cfg, "", _TOP_KEYS, required=("dataset",))["dataset"])
+    for side in "xy":  # the kind and labels of each side the model's metadata records
+        labels = getattr(data, f"{side}_labels")
+        ours = (getattr(data, f"{side}_kind"), None if labels is None else list(map(str, labels)))
+        trained = tuple(model.metadata.get(f"{side}_{key}", value)
+                        for key, value in zip(("kind", "labels"), ours))
+        if ours != trained:
+            raise ContractViolationError(f"{side} side: the dataset has {ours[0]} labels {ours[1]},"
+                                         f" the model was trained on {trained[0]} {trained[1]}")
     return (cfg, out, model, data, *evaluate_model(model, data))
 
 
@@ -489,5 +505,5 @@ def run_eval(model_path, config, seed=None, out_dir=None) -> Path:
 def run_plane(model_path, config, i, j, seed=None, out_dir=None) -> Path:
     """Write the ``(i, j)`` factor plane of a saved model on a config's training split."""
     _, out, model, data, train_pf, _ = _evaluate_saved(model_path, config, seed, out_dir)
-    _write_planes(out, train_pf, [(i, j)], _split_values(model, data, train_pf))
+    _write_model_planes(out, [(i, j)], train_pf, _split_values(model, data, train_pf))
     return out

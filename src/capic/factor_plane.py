@@ -1,15 +1,16 @@
 """Factor-plane construction, SVG rendering, and feature interpolation.
 
-A factor plane plots two components of the decomposition for both
-variables at once.  Points use principal coordinates (factor values
-scaled by the component correlation), so independent data collapses to
-the origin.  The SVG output is plain deterministic text: same inputs,
-same bytes.
+A factor plane plots two components of two point sets, one per
+variable, in principal coordinates: each component scaled by its weight
+(a singular value of classical CA, a component correlation of CA-NN),
+so independent data collapses to the origin.  The SVG output is plain
+deterministic text: same inputs, same bytes.
 
-A plane of a trained model has a point per sample of a side, unless the
-caller hands that side's points: :mod:`capic.experiment` hands one point
-per distinct value of a discrete side (repeated columns: see
-:mod:`capic.datasets`).  Both writers work point by point.
+The module knows neither decomposition: :mod:`capic.experiment` hands
+it the point sets, weights and inertia shares, one point per category
+of a classical decomposition and, for a trained model, one per sample
+or per distinct value of a discrete side (see :mod:`capic.datasets`).
+Both writers work point by point.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from itertools import chain
 
 import numpy as np
 
-from .classical import CaDecomposition
 from .errors import ContractViolationError, CsvParseError, UnsupportedOperationError
 from .fileio import csv_records, csv_text
 from .neural import encode
-from .whitening import PrincipalFunctions
 
 PLANE_CSV_HEADER = "# factor-plane v1"
 
@@ -46,57 +45,41 @@ class FactorPlane:
     score_ratios: tuple  # share of total inertia on each axis
 
 
-def _ratios_from_diag(diag, i, j):
-    weights = np.square(np.asarray(diag, dtype=np.float64))
-    total = float(weights.sum())
-    if total <= 0:
-        return (0.0, 0.0)
-    return (float(weights[i] / total), float(weights[j] / total))
+def inertia_shares(weights) -> np.ndarray:
+    """Each component's inertia share ``w**2 / sum(w**2)``; zeros when that sum is not positive."""
+    squares = np.square(np.asarray(weights, dtype=np.float64))
+    total = float(squares.sum())
+    return np.zeros_like(squares) if total <= 0 else squares / total
 
 
-def _points(matrix_rows, scale_i, scale_j, i, j, labels, side):
+def _points(side, labels, coords, scales, axes):
     if labels is None:
-        labels = range(matrix_rows.shape[0])
-    elif len(labels) != matrix_rows.shape[0]:
-        raise ContractViolationError(
-            f"{side} has {len(labels)} labels for {matrix_rows.shape[0]} points"
-        )
-    coords_i, coords_j = (matrix_rows[:, [i, j]] * np.array([scale_i, scale_j])).T.tolist()
+        labels = range(len(coords))
+    elif len(labels) != len(coords):
+        raise ContractViolationError(f"{side} has {len(labels)} labels for {len(coords)} points")
+    coords_i, coords_j = (coords[:, axes] * scales).T.tolist()
     return list(zip(map(str, labels), coords_i, coords_j))
 
 
-def export_factor_plane(source, i, j, x_labels=None, y_labels=None, y_points=None,
-                        x_points=None):
-    """Build a :class:`FactorPlane` and its SVG document.
+def export_factor_plane(i, j, x_points, y_points, weights, ratios):
+    """Build the ``(i, j)`` :class:`FactorPlane` of two point sets and its SVG document.
 
-    ``source`` is a :class:`CaDecomposition` (categories as points) or
-    a :class:`PrincipalFunctions` (samples as points; ``x_points`` or
-    ``y_points`` may supply a d x k matrix of per-value coordinates to
-    plot instead of per-sample ones).
+    ``x_points`` and ``y_points`` are ``(labels, coords)``: coords k x d,
+    one row per point, labels None to number the points.  ``weights``
+    are the d component scales of the principal coordinates (a
+    decomposition's singular values, or a model's component
+    correlations) and ``ratios`` the d inertia shares on the plane's
+    axes (``score_ratios``, or :func:`inertia_shares` of the weights).
     """
     if i == j:
         raise ContractViolationError("plane axes must differ")
-    if isinstance(source, CaDecomposition):
-        d = source.d
-        if not (0 <= i < d and 0 <= j < d):
-            raise ContractViolationError(f"axes ({i}, {j}) out of range for d={d}")
-        sig = source.sigmas
-        xp = _points(source.l_factors, sig[i], sig[j], i, j, x_labels, "x")
-        yp = _points(source.r_factors, sig[i], sig[j], i, j, y_labels, "y")
-        ratios = (float(source.score_ratios[i]), float(source.score_ratios[j]))
-    elif isinstance(source, PrincipalFunctions):
-        d = source.f.shape[0]
-        if not (0 <= i < d and 0 <= j < d):
-            raise ContractViolationError(f"axes ({i}, {j}) out of range for d={d}")
-        diag = source.pic_diagonal
-        x_mat = source.f if x_points is None else np.asarray(x_points, dtype=np.float64)
-        y_mat = source.g if y_points is None else np.asarray(y_points, dtype=np.float64)
-        xp = _points(x_mat.T, diag[i], diag[j], i, j, x_labels, "x")
-        yp = _points(y_mat.T, diag[i], diag[j], i, j, y_labels, "y")
-        ratios = _ratios_from_diag(diag, i, j)
-    else:
-        raise ContractViolationError(f"cannot plot a {type(source).__name__}")
-    plane = FactorPlane(i, j, xp, yp, ratios)
+    d = len(weights)
+    if not (0 <= i < d and 0 <= j < d):
+        raise ContractViolationError(f"axes ({i}, {j}) out of range for d={d}")
+    axes = [i, j]
+    scales = np.asarray(weights, dtype=np.float64)[axes]
+    plane = FactorPlane(i, j, _points("x", *x_points, scales, axes),
+                        _points("y", *y_points, scales, axes), (float(ratios[i]), float(ratios[j])))
     return plane, render_svg(plane)
 
 

@@ -180,6 +180,16 @@ class TestOneHot:
                 x_labels=("a", "b"),
             )
 
+    @pytest.mark.parametrize("column", [[0.5, 0.5], [2.0, -1.0]])
+    def test_paired_dataset_rejects_a_column_that_is_not_one_hot(self, column):
+        # Each column sums to 1, but only a 1 among 0s is one-hot.
+        with pytest.raises(ContractViolationError, match="x one-hot"):
+            PairedDataset(
+                x=np.array([[1.0, column[0]], [0.0, column[1]]]),
+                y=np.zeros((1, 2)),
+                x_kind="onehot",
+                x_labels=("a", "b"),
+            )
 
 class TestSplit:
     def test_deterministic(self):

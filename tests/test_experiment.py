@@ -15,7 +15,7 @@ from capic.errors import CapacityError, ContractViolationError
 from capic.experiment import (
     build_dataset, evaluate_model, read_pmf_csv, run_eval, run_experiment,
 )
-from capic.factor_plane import FactorPlane, export_factor_plane, plane_from_csv, plane_to_csv
+from capic.factor_plane import FactorPlane, plane_from_csv, plane_to_csv
 from capic.fileio import dump_json
 from capic.model import fit_ca_nn_model, save_model
 from capic.linalg import distinct_rows as linalg_distinct_rows
@@ -24,7 +24,10 @@ from capic.neural import forward as neural_forward
 from capic.reconstitution import classify, from_cann
 
 from test_classical import contingency_from_samples, random_full_support_pmf, same_bytes
-from test_factor_plane import reference_plane_csv, reference_points, reference_render_svg
+from test_factor_plane import (
+    export_decomposition, reference_plane_csv, reference_points, reference_ratios,
+    reference_render_svg,
+)
 from test_fileio import reference_table_text
 
 
@@ -199,7 +202,7 @@ class TestRunExperiment:
         table = contingency_from_pmf(*read_pmf_csv(pmf_path))
         decomp = ca_decompose(table)
         for i, j in cfg["planes"]:
-            plane, svg = export_factor_plane(
+            plane, svg = export_decomposition(
                 decomp, i, j, x_labels=table.x_labels, y_labels=table.y_labels
             )
             assert (out / f"plane_{i}_{j}.svg").read_bytes() == svg.encode()
@@ -236,7 +239,7 @@ class TestRunExperiment:
             plane = FactorPlane(
                 i, j, reference_points(x_mat, diag[i], diag[j], i, j, x_labels),
                 reference_points(y_mat, diag[i], diag[j], i, j, y_labels),
-                fp._ratios_from_diag(diag, i, j),
+                reference_ratios(diag, i, j),
             )
             assert len(plane.x_points) <= fp.SVG_MAX_X_LABELS  # the SVG labels them
             texts[f"plane_{i}_{j}.csv"] = reference_plane_csv(plane)
@@ -291,7 +294,7 @@ class TestRunExperiment:
         plane = FactorPlane(
             0, 1, reference_points(pfs[0].f.T, diag[0], diag[1], 0, 1, None),
             reference_points(pfs[0].g.T, diag[0], diag[1], 0, 1, None),
-            fp._ratios_from_diag(diag, 0, 1),
+            reference_ratios(diag, 0, 1),
         )
         assert len(plane.x_points) == 150
         texts["plane_0_1.csv"] = reference_plane_csv(plane)
@@ -357,7 +360,7 @@ class TestRunExperiment:
                                    [" ".join(map(str, c)) for c in x[:, xf].T.tolist()]),
             reference_points(train_pf.g[:, yf].T, diag[0], diag[1], 0, 1,
                              [" ".join(map(str, c)) for c in y[:, yf].T.tolist()]),
-            fp._ratios_from_diag(diag, 0, 1),
+            reference_ratios(diag, 0, 1),
         )
         assert (out / "plane_0_1.csv").read_bytes() == reference_plane_csv(plane).encode()
         assert (out / "plane_0_1.svg").read_bytes() == reference_render_svg(plane).encode()
@@ -630,6 +633,36 @@ class TestCli:
             # Same model, same training split: the run's own plane, byte for byte.
             plane_bytes = (tmp_path / "plane" / name).read_bytes()
             assert plane_bytes == (tmp_path / "run" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["eval", "plane"])
+    def test_dataset_with_other_categories_exits_2(self, tmp_path, capsys, command):
+        # A model trained on y labels p, q, r, handed a dataset whose y labels
+        # are x, y, z: nothing is written, and the error names both label lists.
+        values = np.random.default_rng(7).normal(size=(90, 2)).tolist()
+        cfgs = {}
+        for name, labels in (("train", "pqr"), ("other", "xyz")):
+            csv_path = tmp_path / f"{name}.csv"
+            csv_path.write_text("a,b,c\n" + "".join(
+                f"{a!r},{b!r},{labels[k % 3]}\n" for k, (a, b) in enumerate(values)))
+            cfgs[name] = tmp_path / f"{name}.json"
+            cfgs[name].write_text(dump_json({
+                "version": 1, "mode": "train", "d": 2,
+                "dataset": {"source": "csv", "path": str(csv_path),
+                            "schema": {"a": "x-continuous", "b": "x-continuous",
+                                       "c": "y-categorical"}},
+                "f_net": {"hidden": [8], "seed": 1}, "g_net": {"hidden": [8], "seed": 2},
+                "train": {"epochs": 2, "optimizer": "adam", "seed": 3}}))
+        assert main(["train", "--config", str(cfgs["train"]), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        axes = ["-i", "0", "-j", "1"] if command == "plane" else []
+        out = tmp_path / command
+        assert main([command, "--model", str(tmp_path / "run" / "model.json"),
+                     "--config", str(cfgs["other"]), *axes, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: y side:")
+        assert "['x', 'y', 'z']" in err and "['p', 'q', 'r']" in err
+        assert not (out / "pic_report_eval.json").exists()
+        assert not list(out.glob("plane_*"))
 
     def test_train_on_categorical_y_writes_a_row_per_label(self, tmp_path):
         csv_path = synthetic_wine_csv(tmp_path / "wine.csv", n_samples=300, seed=0)

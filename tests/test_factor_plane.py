@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from capic.factor_plane import (
     interpolate_path,
     plane_from_csv,
     plane_to_csv,
+    inertia_shares,
     render_svg,
 )
 from capic.linalg import distinct_rows
@@ -18,7 +22,7 @@ from capic.model import CaNnModel
 from capic.neural import MlpConfig, MlpParams, forward
 from capic.whitening import PrincipalFunctions
 
-from test_classical import contingency_from_samples
+from test_classical import contingency_from_samples, same_bytes
 from test_fileio import reference_csv_text
 
 
@@ -30,6 +34,22 @@ def reference_points(matrix_rows, scale_i, scale_j, i, j, labels):
         (str(label), float(scale_i * row[i]), float(scale_j * row[j]))
         for label, row in zip(labels, matrix_rows)
     ]
+
+
+def reference_ratios(diag, i, j):
+    """Axes ``i`` and ``j``'s inertia shares, one pair at a time: the rule ``inertia_shares``
+    vectorizes."""
+    weights = np.square(np.asarray(diag, dtype=np.float64))
+    total = float(weights.sum())
+    if total <= 0:
+        return (0.0, 0.0)
+    return (float(weights[i] / total), float(weights[j] / total))
+
+
+def export_decomposition(decomp, i, j, x_labels=None, y_labels=None):
+    """The ``(i, j)`` plane of a classical decomposition: its categories as the point sets."""
+    return export_factor_plane(i, j, (x_labels, decomp.l_factors), (y_labels, decomp.r_factors),
+                               decomp.sigmas, decomp.score_ratios)
 
 
 def reference_plane_csv(plane):
@@ -102,7 +122,7 @@ def small_decomposition(seed=81):
 class TestExport:
     def test_ca_points_and_ratios(self):
         table, decomp = small_decomposition()
-        plane, svg = export_factor_plane(
+        plane, svg = export_decomposition(
             decomp, 0, 1, x_labels=table.x_labels, y_labels=table.y_labels
         )
         assert len(plane.x_points) == 4 and len(plane.y_points) == 3
@@ -116,7 +136,7 @@ class TestExport:
 
     def test_svg_structure(self):
         table, decomp = small_decomposition()
-        _, svg = export_factor_plane(
+        _, svg = export_decomposition(
             decomp, 0, 1, x_labels=table.x_labels, y_labels=table.y_labels
         )
         assert svg.startswith("<svg ")
@@ -127,19 +147,19 @@ class TestExport:
 
     def test_svg_deterministic(self):
         table, decomp = small_decomposition()
-        a = export_factor_plane(decomp, 0, 1)[1]
-        b = export_factor_plane(decomp, 0, 1)[1]
+        a = export_decomposition(decomp, 0, 1)[1]
+        b = export_decomposition(decomp, 0, 1)[1]
         assert a == b
 
     def test_same_axis_rejected(self):
         _, decomp = small_decomposition()
         with pytest.raises(ContractViolationError):
-            export_factor_plane(decomp, 1, 1)
+            export_decomposition(decomp, 1, 1)
 
     def test_axis_out_of_range(self):
         _, decomp = small_decomposition()
         with pytest.raises(ContractViolationError):
-            export_factor_plane(decomp, 0, 5)
+            export_decomposition(decomp, 0, 5)
 
     @pytest.mark.parametrize("side", ["x", "y"])
     def test_label_count_must_match_points(self, side):
@@ -148,13 +168,14 @@ class TestExport:
         labels[f"{side}_labels"] = ["a"]
         points = {"x": 4, "y": 3}[side]
         with pytest.raises(ContractViolationError, match=f"{side} has 1 labels for {points} points"):
-            export_factor_plane(decomp, 0, 1, **labels)
+            export_decomposition(decomp, 0, 1, **labels)
 
     def test_principal_functions_label_count_must_match(self):
         pf = PrincipalFunctions(f=np.eye(2), g=np.eye(2), pic_diagonal=np.ones(2),
                                 raw_diagonal=np.ones(2))
         with pytest.raises(ContractViolationError, match="y has 3 labels for 4 points"):
-            export_factor_plane(pf, 0, 1, y_points=np.ones((2, 4)), y_labels=["a", "b", "c"])
+            export_factor_plane(0, 1, (None, pf.f.T), (["a", "b", "c"], np.ones((4, 2))),
+                                pf.pic_diagonal, inertia_shares(pf.pic_diagonal))
 
     def test_independent_samples_fall_near_origin(self):
         # categorical samples of two independent uniform trits: all
@@ -165,7 +186,7 @@ class TestExport:
         xs = rng.integers(0, 3, size=n).tolist()
         ys = rng.integers(0, 3, size=n).tolist()
         decomp = ca_decompose(contingency_from_samples(xs, ys))
-        plane, _ = export_factor_plane(decomp, 0, 1)
+        plane, _ = export_decomposition(decomp, 0, 1)
         bound = 3.0 / np.sqrt(n)
         for _, ci, cj in plane.x_points + plane.y_points:
             assert abs(ci) < bound and abs(cj) < bound
@@ -181,17 +202,48 @@ class TestExport:
         )
         cats = rng.normal(size=(3, 4))
         plane, svg = export_factor_plane(
-            pf, 0, 1, y_points=cats, y_labels=["a", "b", "c", "d"]
+            0, 1, (None, pf.f.T), (["a", "b", "c", "d"], cats.T), pf.pic_diagonal,
+            inertia_shares(pf.pic_diagonal)
         )
         assert len(plane.x_points) == 40
         assert len(plane.y_points) == 4
         assert plane.y_points[0][1] == pytest.approx(0.9 * cats[0, 0])
 
 
+class TestInertiaShares:
+    @pytest.mark.parametrize("diag", [
+        *(np.random.default_rng(seed).uniform(0.0, 1.0, size=5) for seed in range(5)),
+        np.array([0.9, -0.4, 0.3, -1.0]),
+        np.zeros(3),
+    ])
+    def test_shares_are_the_per_pair_reference(self, diag):
+        shares = inertia_shares(diag)
+        for i in range(diag.size):
+            for j in range(diag.size):
+                if i != j:
+                    assert same_bytes(shares[[i, j]], np.array(reference_ratios(diag, i, j)))
+        if not diag.any():
+            assert shares.tolist() == [0.0] * diag.size
+
+
+def test_factor_plane_does_not_know_the_decompositions():
+    # A plane is built from point sets: the module imports neither
+    # decomposition and dispatches on no type.
+    tree = ast.parse(Path(fp.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "neural" in imported  # the rule sees the module's own relative imports
+    assert not imported & {"classical", "whitening", "capic.classical", "capic.whitening"}
+    calls = [node.func.id for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert "render_svg" in calls and "isinstance" not in calls
+
+
 class TestCsvTwin:
     def test_round_trip_identity(self):
         table, decomp = small_decomposition()
-        plane, _ = export_factor_plane(
+        plane, _ = export_decomposition(
             decomp, 0, 1, x_labels=table.x_labels, y_labels=table.y_labels
         )
         assert plane_from_csv(plane_to_csv(plane)) == plane
@@ -201,7 +253,7 @@ class TestCsvTwin:
         labels = ['with,comma', 'with "quote"', "with\nnewline", "plain"]
         # str.splitlines() breaks at these, the csv module does not
         breaks = ["form\x0cfeed", "line\u2028separator", "para\u2029graph"]
-        plane, _ = export_factor_plane(decomp, 0, 1, x_labels=labels, y_labels=breaks)
+        plane, _ = export_decomposition(decomp, 0, 1, x_labels=labels, y_labels=breaks)
         assert plane_from_csv(plane_to_csv(plane)) == plane
 
     def test_wrong_field_count_names_line(self):
@@ -292,7 +344,7 @@ class TestPointsOnceEachPosition:
 
     def test_points_are_the_scalar_products(self):
         table, decomp = small_decomposition()
-        plane, _ = export_factor_plane(decomp, 1, 0, x_labels=table.x_labels)
+        plane, _ = export_decomposition(decomp, 1, 0, x_labels=table.x_labels)
         sig = decomp.sigmas
         assert plane.x_points == reference_points(
             decomp.l_factors, sig[1], sig[0], 1, 0, table.x_labels
