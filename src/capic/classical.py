@@ -172,12 +172,19 @@ def ca_decompose(t: ContingencyTable) -> CaDecomposition:
     is discarded.  The factors are ``u[:, :d]`` and ``vt[:d].T`` divided
     in place by the roots of the marginals: views, not copies, with the
     bytes of the out-of-place quotients.
+
+    Once ``q`` and the marginals are formed the table is no longer
+    needed, and this function drops its reference to it before the SVD:
+    a caller that hands over the only reference (as
+    :func:`capic.experiment.run_experiment` does) has the table freed
+    while numpy's SVD runs.  The table itself is never written to.
     """
     q = q_matrix(t)
-    u, s, vt = svd(q)
-    d = min(q.shape) - 1
     px = t.marginals_x
     py = t.marginals_y
+    del t
+    u, s, vt = svd(q)
+    d = min(q.shape) - 1
     l_factors = u[:, :d]
     l_factors /= np.sqrt(px)[:, None]
     r_factors = vt[:d].T

@@ -25,7 +25,7 @@ from .experiment import (
     run_experiment,
     run_plane,
 )
-from .fileio import csv_text, write_text_atomic
+from .fileio import write_csv_atomic
 from .model import load_model
 from .oracles import bsc_spectrum_uniform
 
@@ -75,7 +75,7 @@ def _cmd_oracle(args):
     if args.kind == "bsc-spectrum":
         path = out / "bsc_spectrum.csv"
         spectrum = bsc_spectrum_uniform(args.bits, args.delta)
-        write_text_atomic(path, csv_text(["value", "multiplicity"], spectrum))
+        write_csv_atomic(path, ["value", "multiplicity"], spectrum)
     else:
         # Each source reads only its own keys.
         ds = build_dataset({
@@ -88,7 +88,7 @@ def _cmd_oracle(args):
         path = out / f"{args.kind}_samples.csv"
         header = [f"x{k}" for k in range(ds.x.shape[0])]
         header += [f"y{k}" for k in range(ds.y.shape[0])]
-        write_text_atomic(path, csv_text(header, zip(ds.x.T, ds.y.T)))
+        write_csv_atomic(path, header, zip(ds.x.T, ds.y.T))
     print(f"wrote {path}")
     return 0
 
@@ -113,7 +113,7 @@ def _cmd_interpolate(args):
     out.mkdir(parents=True, exist_ok=True)
     header = ["step"] + [f"f{k}" for k in range(path.shape[1])]
     target = out / "interpolation.csv"
-    write_text_atomic(target, csv_text(header, enumerate(path)))
+    write_csv_atomic(target, header, enumerate(path))
     print(f"wrote {target}")
     return 0
 

@@ -62,7 +62,7 @@ from .errors import (
     CsvParseError,
     EmptyDatasetError,
 )
-from .fileio import csv_records, csv_text, open_input, write_text_atomic
+from .fileio import csv_records, open_input, write_csv_atomic
 from .linalg import distinct_rows
 
 ROLES = ("x-continuous", "x-categorical", "y-continuous", "y-categorical", "ignore")
@@ -281,19 +281,23 @@ def load_csv(path, schema, standardize=False, test_fraction=0.0, split_seed=0):
             n_rows += 1
     if n_rows == 0:
         raise EmptyDatasetError(f"{path}: no data rows")
-    buf = np.frombuffer(values).reshape(n_rows, len(numeric))
     n_train = None
     order = np.arange(n_rows)  # the file's rows in the dataset's column order
     if test_fraction > 0:
         train_rows, test_rows = make_split(n_rows, test_fraction, split_seed)
         n_train, order = train_rows.size, np.concatenate([train_rows, test_rows])
+    buf = np.frombuffer(values).reshape(n_rows, len(numeric))
+    gathered = {p: buf[np.ix_(order, [header[i] in cols for i in numeric])].T  # sample-contiguous
+                for p, (cols, kind) in sides.items() if kind == "continuous"}
+    del buf, values  # the parse buffer, freed before any side is standardized or encoded
     built, stats = {}, {}
     for p, (cols, kind) in sides.items():
         if kind == "onehot":
             cells = texts[p][1]
-            built[p] = one_hot_encode([cells[i] for i in order.tolist()])
+            built[p] = one_hot_encode(cells if n_train is None else
+                                      [cells[i] for i in order.tolist()])
             continue
-        mat = buf[np.ix_(order, [header[i] in cols for i in numeric])].T  # sample-contiguous
+        mat = gathered.pop(p)
         if standardize:
             train = mat[:, :n_train]
             std = train.std(axis=1)
@@ -363,5 +367,5 @@ def synthetic_wine_csv(path, n_samples=4898, seed=0):
     quality = np.array(
         [grades_by_group[g][rng.integers(0, len(grades_by_group[g]))] for g in group]
     )
-    write_text_atomic(path, csv_text([*WINE_ATTRIBUTES, "quality"], zip(rows, quality)))
+    write_csv_atomic(path, [*WINE_ATTRIBUTES, "quality"], zip(rows, quality))
     return path

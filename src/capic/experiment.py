@@ -41,10 +41,10 @@ import numpy as np
 
 from . import factor_plane as fp
 from .classical import ContingencyTable, ca_decompose, check_exact_cells, contingency_from_pmf
-from .datasets import PairedDataset, load_csv
+from .datasets import PairedDataset, apply_standardization, load_csv
 from .errors import ContractViolationError, CsvParseError
 from .fileio import (
-    csv_records, csv_text, open_input, read_json_object, sha256_of_json,
+    csv_records, open_input, read_json_object, sha256_of_json, write_csv_atomic,
     write_json_atomic, write_text_atomic,
 )
 from .model import CaNnModel, fit_ca_nn_model, load_model, save_model
@@ -341,7 +341,7 @@ def _write_factor_table(path, names, letter, *columns):
     ``{letter}0, {letter}1, ...``.  The columns must have the same length.
     """
     header = [*names, *(f"{letter}{k}" for k in range(columns[-1].shape[1]))]
-    write_text_atomic(path, csv_text(header, zip(*columns, strict=True)))
+    write_csv_atomic(path, header, zip(*columns, strict=True))
 
 
 def _write_factor_tables(out, prefix, values):
@@ -410,22 +410,21 @@ def _svd_table(dcfg) -> ContingencyTable:
 def _run_svd(cfg, out, cfg_hash):
     """Decompose the config's table; write its factor tables, scores and planes.
 
-    Only the labels and the decomposition are kept past :func:`ca_decompose`.
+    Only the labels and the plane bound are read off the table:
+    :func:`ca_decompose` gets the only reference to it, so the normalized
+    table is freed before the SVD rather than held through it.
     """
     blocks = _read(cfg, "", _TOP_KEYS, required=("dataset",))
-    table = _svd_table(blocks["dataset"])
+    held = [_svd_table(blocks["dataset"])]
+    x_labels, y_labels = held[0].x_labels, held[0].y_labels
     planes = blocks.get("planes", [])
-    _check_planes(planes, min(table.table.shape) - 1)
-    decomp = ca_decompose(table)
-    x_labels, y_labels = table.x_labels, table.y_labels
-    del table  # the normalized table, not kept while the factor tables are formatted
+    _check_planes(planes, min(len(x_labels), len(y_labels)) - 1)
+    decomp = ca_decompose(held.pop())  # pop: ca_decompose holds the only reference
     _write_factor_table(out / "factors_x.csv", ["label"], "f", x_labels, decomp.l_factors)
     _write_factor_table(out / "factors_y.csv", ["label"], "g", y_labels, decomp.r_factors)
     rows = zip(range(decomp.d), decomp.sigmas.tolist(), decomp.scores.tolist(),
                decomp.score_ratios.tolist())
-    write_text_atomic(
-        out / "scores.csv", csv_text(["component", "sigma", "lambda", "score_ratio"], rows)
-    )
+    write_csv_atomic(out / "scores.csv", ["component", "sigma", "lambda", "score_ratio"], rows)
     _write_planes(out, planes, (x_labels, None, decomp.l_factors),
                   (y_labels, None, decomp.r_factors), decomp.sigmas, decomp.score_ratios)
 
@@ -467,9 +466,7 @@ def _run_train(cfg, out, cfg_hash):
     write_json_atomic(out / "pic_report.json", report)
 
     rows = [(e, rec.loss, rec.kyfan_term, rec.g_energy) for e, rec in enumerate(history)]
-    write_text_atomic(
-        out / "loss_history.csv", csv_text(["epoch", "loss", "kyfan_term", "g_energy"], rows)
-    )
+    write_csv_atomic(out / "loss_history.csv", ["epoch", "loss", "kyfan_term", "g_energy"], rows)
 
     train_values = _split_values(model, data, train_pf)
     _write_factor_tables(out, "train", train_values)
@@ -479,10 +476,16 @@ def _run_train(cfg, out, cfg_hash):
 
 
 def _evaluate_saved(model_path, config, seed, out_dir):
-    """``(cfg, out, model, data, train_pf, test_pf)`` of a saved model on a config's dataset."""
+    """``(cfg, out, model, data, train_pf, test_pf)`` of a saved model on a config's dataset.
+
+    The model's ``metadata["standardization"]`` decides how a continuous
+    side is scaled, not the config: a side the model stores training
+    statistics for is shifted and scaled by them, any other is left raw.
+    """
     cfg, out = _prepare(config, seed, out_dir)
     model = load_model(model_path)
-    data = build_dataset(_read(cfg, "", _TOP_KEYS, required=("dataset",))["dataset"])
+    dcfg = _read(cfg, "", _TOP_KEYS, required=("dataset",))["dataset"]
+    data = build_dataset({**dcfg, "standardize": False})
     for side in "xy":  # the kind and labels of each side the model's metadata records
         labels = getattr(data, f"{side}_labels")
         ours = (getattr(data, f"{side}_kind"), None if labels is None else list(map(str, labels)))
@@ -491,6 +494,10 @@ def _evaluate_saved(model_path, config, seed, out_dir):
         if ours != trained:
             raise ContractViolationError(f"{side} side: the dataset has {ours[0]} labels {ours[1]},"
                                          f" the model was trained on {trained[0]} {trained[1]}")
+    stats = model.metadata.get("standardization", {})
+    if stats:
+        data = dataclasses.replace(data, **{
+            side: apply_standardization(stats[side], getattr(data, side)) for side in stats})
     return (cfg, out, model, data, *evaluate_model(model, data))
 
 

@@ -7,17 +7,22 @@ reproduces every output byte for byte.  Across thread counts the
 floating-point reductions run in another order and the numbers can
 differ in the last digits.
 
-One CSV writer, :func:`csv_text`, writes every table: ``\n`` line ends,
-the csv module's quoting, floats by ``repr`` so they read back exactly.
-One CSV reader, :func:`csv_records`, reads every input table and gives
-each record the physical line it starts on, for error messages.
+One CSV formatter, :func:`_lines`, gives every table its lines: ``\n``
+line ends, the csv module's quoting, floats by ``repr`` so they read
+back exactly.  One atomic-file core, :class:`_AtomicFile`, gives every
+artifact its temp file, mode and rename.  There are two sinks:
+:func:`write_csv_atomic` streams a table's lines into its file one row
+at a time, so no table is held as one text, and
+:func:`write_text_atomic` writes one ``str`` (JSON, SVG, and a plane's
+CSV, joined by :func:`csv_text`).  One CSV reader, :func:`csv_records`,
+reads every input table and gives each record the physical line it
+starts on, for error messages.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import os
 import tempfile
@@ -68,28 +73,44 @@ def read_json_object(path) -> dict:
     return doc
 
 
-def write_text_atomic(path, text: str):
-    """Write ``text`` to ``path`` through a temp file and a rename.
+class _AtomicFile:
+    """``with _AtomicFile(path) as fh``: the text written to ``fh`` lands at ``path`` whole.
 
-    The file gets the mode a plain ``open(path, "w")`` would give it,
-    ``0o666`` less the umask (``mkstemp`` makes the temp file 0600).
+    ``fh`` is a temp file in ``path``'s directory.  When the block ends
+    cleanly the file gets the mode a plain ``open(path, "w")`` would
+    give it, ``0o666`` less the umask (``mkstemp`` makes it 0600), and is
+    renamed to ``path``.  When the block raises the temp file is removed
+    and a file already at ``path`` is left as it was.
     """
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        os.fchmod(fd, 0o666 & ~_umask())
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+
+    def __init__(self, path):
+        self.path = os.fspath(path)
+
+    def __enter__(self):
+        directory = os.path.dirname(self.path) or "."
+        fd, self.tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        self.fh = os.fdopen(fd, "w")
+        return self.fh
+
+    def __exit__(self, kind, value, traceback):
+        try:
+            self.fh.close()
+            if kind is None:
+                os.chmod(self.tmp, 0o666 & ~_umask())
+                os.replace(self.tmp, self.path)
+        finally:
+            if os.path.exists(self.tmp):
+                os.unlink(self.tmp)
+
+
+def write_text_atomic(path, text: str):
+    """Write ``text``, one ``str``, to ``path`` through :class:`_AtomicFile`."""
+    with _AtomicFile(path) as fh:
+        fh.write(text)
 
 
 def _line(row) -> str:
-    """One CSV line of ``row``'s cells, without its line end (see :func:`csv_text`)."""
+    """One CSV line of ``row``'s cells, without its line end (see :func:`_lines`)."""
     cells = []
     for cell in row:
         if isinstance(cell, np.ndarray):
@@ -104,8 +125,8 @@ def _line(row) -> str:
     return '""' if cells == [""] else ",".join(cells)
 
 
-def csv_text(header, rows) -> str:
-    """CSV text of a header row and data rows, with ``\n`` line ends.
+def _lines(header, rows):
+    """The lines of a header row and data rows, line ends included, one row at a time.
 
     These are the csv module's bytes.  A float (a numpy one too) is
     written by ``repr``, so it reads back exactly; any other cell as
@@ -116,11 +137,25 @@ def csv_text(header, rows) -> str:
     A row of one empty cell is written ``""``, as the csv module writes
     it, to tell it from an empty row.
     """
-    buf = io.StringIO()
-    buf.write(_line(header) + "\n")
-    for row in rows:  # a wide table is not held as Python floats all at once
-        buf.write(_line(row) + "\n")
-    return buf.getvalue()
+    yield _line(header) + "\n"
+    for row in rows:
+        yield _line(row) + "\n"
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header row and data rows, with ``\n`` line ends (see :func:`_lines`)."""
+    return "".join(_lines(header, rows))
+
+
+def write_csv_atomic(path, header, rows):
+    """Write the CSV of :func:`csv_text` to ``path``, streamed through :class:`_AtomicFile`.
+
+    Each row is formatted and written in turn, so the file's text is
+    never held whole.  A row that raises leaves no file behind and a
+    file already at ``path`` as it was.
+    """
+    with _AtomicFile(path) as fh:
+        fh.writelines(_lines(header, rows))
 
 
 def dump_json(obj) -> str:

@@ -49,7 +49,19 @@ def test_every_name_the_benchmark_imports_resolves():
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_every_workload_runs_and_checks_at_toy_size(tmp_path, monkeypatch, name):
+    # Once as the benchmark times it, once under its tracer, which wraps the
+    # timed functions and takes len() of every text write_text_atomic gets.
     monkeypatch.syspath_prepend(str(ROOT))  # as the benchmark's runner imports its workloads
     workload = importlib.import_module("capbench.workloads").TOY[name]
     inputs = workload.setup(1, tmp_path)
     workload.check(inputs, workload.operate(inputs))
+    tracer = importlib.import_module("capbench.tracing").Tracer()
+    tracer.install(0)
+    try:
+        out = workload.operate(inputs)
+    finally:
+        tracer.uninstall()
+    workload.check(inputs, out)
+    summary = tracer.op_summary(0)
+    if summary["calls"]["experiment.run_experiment"]:  # a run writes its artifacts
+        assert summary["calls"]["fileio.write_text_atomic"] > 0 and summary["bytes"] > 0

@@ -319,6 +319,20 @@ class TestSyntheticWine:
         ds = load_csv(path, WINE_SCHEMA)
         assert ds.x.shape == (11, 4898)
 
+    def test_load_frees_the_parse_buffer_before_the_sides_are_built(self, tmp_path, traced_peak):
+        # The continuous cells' parse buffer goes once the x side is gathered,
+        # before it is standardized and the y side encoded: the traced peak
+        # is 1.76 times the dataset's arrays (2.29 while the buffer was held).
+        path = synthetic_wine_csv(tmp_path / "wine.csv", n_samples=4000, seed=2)
+        loaded = []
+
+        def load():
+            loaded.append(load_csv(path, WINE_SCHEMA, standardize=True, test_fraction=0.2,
+                                   split_seed=2))
+
+        peak = traced_peak(load)
+        assert peak <= 2 * (loaded[0].x.nbytes + loaded[0].y.nbytes)
+
     def test_deterministic(self, tmp_path):
         synthetic_wine_csv(tmp_path / "a.csv", n_samples=50, seed=9)
         synthetic_wine_csv(tmp_path / "b.csv", n_samples=50, seed=9)

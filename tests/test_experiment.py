@@ -2,6 +2,8 @@ import csv
 import json
 import re
 import sys
+import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from capic.model import fit_ca_nn_model, save_model
 from capic.linalg import distinct_rows as linalg_distinct_rows
 from capic.neural import MlpConfig, TrainConfig, train_ca_nn
 from capic.neural import forward as neural_forward
+from capic.oracles import BscSpec, bsc_joint_pmf
 from capic.reconstitution import classify, from_cann
 
 from test_classical import contingency_from_samples, random_full_support_pmf, same_bytes
@@ -420,17 +423,26 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("mode", ["train", "svd"])
     def test_each_artifact_is_written_from_one_str(self, tmp_path, monkeypatch, mode):
-        # A traced benchmark run takes len() of the text: it must be one str.
-        calls = []
-        original = fileio.write_text_atomic
+        # A traced benchmark run takes len() of write_text_atomic's text: it
+        # must be one str.  Tables stream through write_csv_atomic, and each
+        # artifact is written once, by one of the two writers.
+        calls, written = [], []
+        text_writer, table_writer = fileio.write_text_atomic, fileio.write_csv_atomic
 
-        def spy(path, text):
+        def text_spy(path, text):
             calls.append(type(text))
-            return original(path, text)
+            written.append(path)
+            return text_writer(path, text)
+
+        def table_spy(path, header, rows):
+            written.append(path)
+            return table_writer(path, header, rows)
 
         for module in [m for key, m in sys.modules.items() if key.startswith("capic")]:
-            if getattr(module, "write_text_atomic", None) is original:
-                monkeypatch.setattr(module, "write_text_atomic", spy)
+            for name, original, spy in (("write_text_atomic", text_writer, text_spy),
+                                        ("write_csv_atomic", table_writer, table_spy)):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, spy)
         if mode == "train":
             cfg = tiny_bsc_config(tmp_path / "run", epochs=2)
         else:
@@ -438,8 +450,9 @@ class TestRunExperiment:
             pmf_path.write_text(",u,v,w\nr1,0.2,0.05,0.05\nr2,0.05,0.2,0.1\nr3,0.1,0.05,0.2\n")
             cfg = {"version": 1, "mode": "svd", "output_dir": str(tmp_path / "svd"),
                    "dataset": {"source": "pmf_csv", "path": str(pmf_path)}, "planes": [[0, 1]]}
-        run_experiment(cfg)
-        assert calls == [str] * (10 if mode == "train" else 6)
+        out = run_experiment(cfg)
+        assert calls == [str] * (5 if mode == "train" else 3)
+        assert sorted(map(str, written)) == sorted(map(str, out.iterdir()))
 
     def test_output_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CA_OUTPUT_DIR", str(tmp_path / "envout"))
@@ -539,6 +552,32 @@ class TestBuildDataset:
         path = tmp_path / "pmf.csv"
         self.write_pmf(path, pmf.tolist(), range(512), range(512))
         assert traced_peak(read_pmf_csv, path) <= pmf.nbytes * 17 // 16 + 256 * 1024
+
+    def test_svd_mode_frees_the_table_before_the_svd(self, tmp_path, monkeypatch):
+        # On entering numpy's SVD only q is left of the table stage (holding
+        # the normalized table through it reads 2.08 tables), and no factor
+        # table is held as one text (formatting each as one text peaks at
+        # 7.07 tables; streaming at 5.10).
+        pmf = bsc_joint_pmf(BscSpec(n_bits=8, delta=0.1, p=0.5))
+        path = tmp_path / "pmf.csv"
+        self.write_pmf(path, pmf.tolist(), range(256), range(256))
+        entered, svd = [], classical.svd
+
+        def spy(q):
+            entered.append(tracemalloc.get_traced_memory()[0])
+            return svd(q)
+
+        monkeypatch.setattr(classical, "svd", spy)
+        cfg = {"version": 1, "mode": "svd", "dataset": {"source": "pmf_csv", "path": str(path)},
+               "planes": [[0, 1]]}
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, out_dir=tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(entered) == 1 and entered[0] <= 1.25 * pmf.nbytes
+        assert peak <= 6 * pmf.nbytes
 
     def test_pmf_reader_stops_at_the_row_over_the_exact_cap(self, tmp_path, monkeypatch):
         # the fourth row starts on line 6 and takes the table to 12 cells;
@@ -663,6 +702,49 @@ class TestCli:
         assert "['x', 'y', 'z']" in err and "['p', 'q', 'r']" in err
         assert not (out / "pic_report_eval.json").exists()
         assert not list(out.glob("plane_*"))
+
+    def test_eval_and_plane_standardize_with_the_model_statistics(self, tmp_path):
+        # A continuous side is scaled by the training statistics the model
+        # stores, not by those of the dataset it is handed: shifting feature
+        # a by +10 moves the diagonals (a held-out one leaves [-1, 1.01]) and
+        # the plane, and the unshifted file gives back the run's own.
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=(2, 300))
+        score = a + 0.5 * b + rng.normal(scale=0.5, size=300)
+        grades = np.where(score > 0.5, "hi", np.where(score < -0.5, "lo", "mid"))
+        cfgs = {}
+        for name, shift in (("same", 0.0), ("shifted", 10.0)):
+            csv_path = tmp_path / f"{name}.csv"
+            fileio.write_csv_atomic(csv_path, ["a", "b", "c"], zip(a + shift, b, grades))
+            cfgs[name] = tmp_path / f"{name}.json"
+            cfgs[name].write_text(dump_json({
+                "version": 1, "mode": "train", "d": 2,
+                "dataset": {"source": "csv", "path": str(csv_path), "standardize": True,
+                            "test_fraction": 0.25, "split_seed": 1,
+                            "schema": {"a": "x-continuous", "b": "x-continuous",
+                                       "c": "y-categorical"}},
+                "f_net": {"hidden": [8], "seed": 1}, "g_net": {"hidden": [8], "seed": 2},
+                "train": {"epochs": 20, "optimizer": "adam", "lr": 0.01, "seed": 3},
+                "planes": [[0, 1]]}))
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfgs["same"]), "--out", str(run)]) == 0
+        reports, planes = {}, {}
+        for name, cfg_path in cfgs.items():
+            model = ["--model", str(run / "model.json"), "--config", str(cfg_path)]
+            with (pytest.warns(RuntimeWarning, match="clipped") if name == "shifted"
+                  else nullcontext()):
+                assert main(["eval", *model, "--out", str(tmp_path / f"eval_{name}")]) == 0
+                assert main(["plane", *model, "-i", "0", "-j", "1",
+                             "--out", str(tmp_path / f"plane_{name}")]) == 0
+            reports[name] = json.loads((tmp_path / f"eval_{name}" / "pic_report_eval.json")
+                                       .read_text())
+            planes[name] = (tmp_path / f"plane_{name}" / "plane_0_1.csv").read_bytes()
+        run_report = json.loads((run / "pic_report.json").read_text())
+        for split in ("train", "test"):
+            assert reports["same"][split] == run_report[split]
+            assert reports["shifted"][split]["raw"] != run_report[split]["raw"]
+        assert planes["same"] == (run / "plane_0_1.csv").read_bytes()
+        assert planes["shifted"] != planes["same"]
 
     def test_train_on_categorical_y_writes_a_row_per_label(self, tmp_path):
         csv_path = synthetic_wine_csv(tmp_path / "wine.csv", n_samples=300, seed=0)

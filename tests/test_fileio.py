@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from capic.errors import CsvParseError
-from capic.fileio import csv_records, csv_text, write_text_atomic
+from capic.fileio import csv_records, csv_text, write_csv_atomic, write_text_atomic
 from capic.linalg import distinct_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "capic"
@@ -42,16 +42,42 @@ def emitted_table_text(header, labels, matrix, lead=()):
     return csv_text(header, ((*lead, label, values) for label, values in zip(labels, matrix)))
 
 
+def streamed_table_text(path, header, labels, matrix, lead=()):
+    """The text :func:`write_csv_atomic` leaves at ``path`` for a wide table."""
+    write_csv_atomic(path, header, ((*lead, label, values) for label, values in zip(labels, matrix)))
+    return path.read_bytes().decode()
+
+
 def test_written_file_mode_follows_umask(tmp_path):
-    path = tmp_path / "out.txt"
-    old = os.umask(0o022)
-    try:
-        write_text_atomic(path, "x\n")
-    finally:
-        os.umask(old)
-    assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
-    assert path.read_text() == "x\n"
-    assert os.listdir(tmp_path) == ["out.txt"]
+    # both writers: a table streamed to its file gets the mode of a text
+    for umask in (0o022, 0o077, 0o002):
+        old = os.umask(umask)
+        try:
+            write_text_atomic(tmp_path / "out.txt", "x\n")
+            write_csv_atomic(tmp_path / "out.csv", ["x"], [])
+        finally:
+            os.umask(old)
+        for name in ("out.txt", "out.csv"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o666 & ~umask
+            assert (tmp_path / name).read_text() == "x\n"
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "out.txt"]
+
+
+@pytest.mark.parametrize("target_exists", [False, True])
+def test_a_row_that_raises_leaves_no_file_behind(tmp_path, target_exists):
+    path = tmp_path / "table.csv"
+    if target_exists:
+        path.write_text("old\n")
+
+    def rows():
+        yield ["a", 1.0]
+        raise ValueError("row 2")
+
+    with pytest.raises(ValueError, match="row 2"):
+        write_csv_atomic(path, ["label", "v"], rows())
+    assert os.listdir(tmp_path) == (["table.csv"] if target_exists else [])
+    if target_exists:
+        assert path.read_text() == "old\n"
 
 
 NEGATIVE_NAN = -np.float64("nan")  # another NaN bit pattern, with the same repr
@@ -78,6 +104,15 @@ def test_table_bytes_match_the_per_row_writer(name):
     )
 
 
+@pytest.mark.parametrize("name", [*MATRICES, "wide"])
+def test_streamed_table_bytes_match_the_per_row_writer(tmp_path, name):
+    matrix = MATRICES.get(name, np.random.default_rng(6).normal(size=(64, 700)))
+    header = ["label"] + [f"f{k}" for k in range(matrix.shape[1])]
+    labels = [format(k, "010b") for k in range(len(matrix))]
+    assert streamed_table_text(tmp_path / "t.csv", header, labels, matrix) == (
+        reference_table_text(header, labels, matrix))
+
+
 @pytest.mark.parametrize("name", MATRICES)
 def test_gathered_rows_give_the_per_row_bytes(name):
     # A per-value table stands for the rows with each code: gathering the
@@ -100,11 +135,12 @@ AWKWARD_LABELS = ["", "with,comma", 'with "quote"', "with\nnewline", "with\rretu
     np.empty((6, 0)),                                            # no value columns
 ])
 @pytest.mark.parametrize("lead", [(), ("x",)])
-def test_awkward_labels_are_quoted_as_the_csv_module_quotes_them(matrix, lead):
+def test_awkward_labels_are_quoted_as_the_csv_module_quotes_them(tmp_path, matrix, lead):
     header = ["label"] + [f"g{k}" for k in range(matrix.shape[1])]
-    assert emitted_table_text(header, AWKWARD_LABELS, matrix, lead) == reference_table_text(
-        header, AWKWARD_LABELS, matrix, lead
-    )
+    reference = reference_table_text(header, AWKWARD_LABELS, matrix, lead)
+    assert emitted_table_text(header, AWKWARD_LABELS, matrix, lead) == reference
+    assert streamed_table_text(tmp_path / "t.csv", header, AWKWARD_LABELS, matrix, lead) == (
+        reference)
 
 
 def test_blocks_follow_the_head_in_order():
